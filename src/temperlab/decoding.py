@@ -1,14 +1,14 @@
-"""Greedy and beam search over any model exposing encode / decode_step.
+"""Greedy and beam search over a model's encode / decode-step methods.
 
-A decoder model only needs two methods: `encode(source) -> encoded` and
-`decode_step(encoded, prefix) -> logits vector`, with the shared reserved
-token ids (PAD=0, BOS=1, EOS=2). Hypothesis scores divide the summed log
-probability by a length penalty ((5 + len) / 6) ** alpha, where len counts
-tokens after BOS (EOS included).
-
-Beam search expands one hypothesis per decode_step call; the batched
-greedy helper is an optimisation for corpus evaluation and is excluded
-from timing comparisons.
+Models share the reserved token ids (PAD=0, BOS=1, EOS=2). Greedy
+decoding, one sentence or many, runs through `greedy_decode_batch` and
+needs `encode_batch(padded sources) -> encoded` and
+`decode_step_batch(encoded, prefixes) -> [batch, vocab] logits`. Beam
+search needs `encode(source) -> encoded` and
+`decode_step(encoded, prefix) -> logits vector`, and expands one
+hypothesis per call. Hypothesis scores divide the summed log probability
+by a length penalty ((5 + len) / 6) ** alpha, where len counts tokens after
+BOS (EOS included).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 
 from .data import BOS_ID, EOS_ID, PAD_ID
 from .errors import ConfigError, ContractError
+from .tensor import log_softmax
 
 Array = np.ndarray
 
@@ -64,31 +65,10 @@ def _score(log_prob: float, tokens_after_bos: int, alpha: float) -> float:
     return log_prob / length_penalty(max(1, tokens_after_bos), alpha)
 
 
-def _log_softmax(logits: Array) -> Array:
-    z = logits - logits.max()
-    return z - np.log(np.exp(z).sum())
-
-
 def greedy_decode(model, source, max_length: int) -> Hypothesis:
-    """Argmax decoding; stops at EOS or after max_length generated tokens."""
-    encoded = model.encode(np.asarray(source, dtype=np.int64))
-    tokens = [BOS_ID]
-    log_prob = 0.0
-    finished = False
-    for _ in range(max_length):
-        logits = model.decode_step(encoded, np.asarray(tokens, dtype=np.int64))
-        nxt = int(np.argmax(logits))
-        log_prob += float(_log_softmax(logits)[nxt])
-        tokens.append(nxt)
-        if nxt == EOS_ID:
-            finished = True
-            break
-    return Hypothesis(
-        tokens=tuple(tokens),
-        log_prob=log_prob,
-        score=_score(log_prob, len(tokens) - 1, 0.0),
-        finished=finished,
-    )
+    """Argmax decoding of one sentence; stops at EOS or after max_length
+    generated tokens."""
+    return greedy_decode_batch(model, [source], max_length)[0]
 
 
 @dataclass
@@ -115,7 +95,7 @@ def beam_decode(model, source, cfg: BeamConfig) -> list[Hypothesis]:
         candidates: list[_Live] = []
         for hyp in live:
             logits = model.decode_step(encoded, np.asarray(hyp.tokens, dtype=np.int64))
-            logp = _log_softmax(logits)
+            logp = log_softmax(logits)
             k = min(cfg.beam_size, logp.shape[0])
             top = np.argpartition(-logp, k - 1)[:k]
             top = top[np.lexsort((top, -logp[top]))]  # prob desc, then lowest id
@@ -168,11 +148,11 @@ def beam_decode(model, source, cfg: BeamConfig) -> list[Hypothesis]:
 
 
 def greedy_decode_batch(model, sources: list[Array], max_length: int) -> list[Hypothesis]:
-    """Batched greedy decoding over many sentences at once.
+    """Greedy decoding of many sentences at once; stops at EOS or after
+    max_length generated tokens.
 
-    Produces the same token sequences as per-sentence `greedy_decode`; used
-    for corpus evaluation where per-sentence timing does not matter. The
-    model must provide `encode_batch` and `decode_step_batch`.
+    Shorter sources are padded to the longest, which can move a sentence's
+    log probability in its last bits against its one-sentence decode.
     """
     if not sources:
         return []
@@ -188,8 +168,7 @@ def greedy_decode_batch(model, sources: list[Array], max_length: int) -> list[Hy
     finished = np.zeros(n, dtype=bool)
     for _ in range(max_length):
         logits = model.decode_step_batch(encoded, prefixes)
-        z = logits - logits.max(axis=-1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        logp = log_softmax(logits)
         nxt = np.argmax(logits, axis=-1)
         log_probs = np.where(finished, log_probs, log_probs + logp[np.arange(n), nxt])
         prefixes = np.concatenate([prefixes, nxt[:, None]], axis=1)
@@ -200,11 +179,9 @@ def greedy_decode_batch(model, sources: list[Array], max_length: int) -> list[Hy
     out = []
     for i in range(n):
         row = prefixes[i].tolist()
-        if EOS_ID in row[1:]:
+        done = EOS_ID in row[1:]
+        if done:
             row = row[: row.index(EOS_ID, 1) + 1]
-            done = True
-        else:
-            done = False
         lp = float(log_probs[i])
         out.append(
             Hypothesis(tokens=tuple(row), log_prob=lp, score=_score(lp, len(row) - 1, 0.0), finished=done)

@@ -25,16 +25,17 @@ from .data import (
     generate_multilingual_corpus,
     generate_synthetic_corpus,
 )
-from .decoding import BeamConfig, beam_decode, decode_corpus, greedy_decode_batch
+from .decoding import BeamConfig, beam_decode, decode_corpus
 from .errors import ConfigError, TemperlabError
 from .metrics import corpus_bleu, output_similarity_bleu, paired_bootstrap
 from .model import ModelConfig, init_parameters, load_checkpoint, save_checkpoint
-from .tempering import TemperingConfig, entropy_views, smoothed_label_array
+from .tempering import TemperingConfig, entropy_views
 from .training import (
     TaskData,
     TrainerConfig,
     average_checkpoints,
     evaluate_checkpoint,
+    greedy_outputs,
     model_from_checkpoint,
     train,
 )
@@ -319,9 +320,7 @@ class SweepReport:
 
 
 def test_greedy_outputs(run: RunResult) -> list[tuple[str, ...]]:
-    sources = [run.data.src_vocab.encode(s) for s, _ in run.data.test]
-    hyps = greedy_decode_batch(run.decode_model, sources, run.data.decode_max_length)
-    return [run.data.tgt_vocab.decode(h.surface(), strip_special=False) for h in hyps]
+    return greedy_outputs(run.decode_model, run.data, "test")
 
 
 def oracle_beam_search(run: RunResult, grid: BeamGridConfig) -> tuple[float, int, float]:
@@ -589,10 +588,9 @@ def run_analysis(run_dirs: list, out_dir, with_timing: bool = True, with_similar
         if with_similarity:
             for rd, (mdl, data, meta) in models.items():
                 sources = [data.src_vocab.encode(s) for s, _ in data.test]
-                greedy = greedy_decode_batch(mdl, sources, data.decode_max_length)
                 bc = BeamConfig(beam_size=4, length_penalty_alpha=1.0, max_length=data.decode_max_length)
                 beam = [beam_decode(mdl, src, bc)[0] for src in sources]
-                g_tok = [data.tgt_vocab.decode(hh.surface(), strip_special=False) for hh in greedy]
+                g_tok = greedy_outputs(mdl, data, "test")
                 b_tok = [data.tgt_vocab.decode(hh.surface(), strip_special=False) for hh in beam]
                 sim = output_similarity_bleu(g_tok, b_tok)
                 sim_rows.append([meta["temperature"], sim, meta["config_hash"]])

@@ -115,9 +115,6 @@ class TransformerModel:
     def _layer_index(self, i: int) -> int:
         return 0 if self.config.recurrent_stacking else i
 
-    def parameter_names(self) -> list[str]:
-        return list(self.params.keys())
-
     # -- forward -----------------------------------------------------------
 
     def _check_ids(self, ids: Array, vocab: int, what: str) -> None:

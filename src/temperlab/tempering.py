@@ -4,8 +4,12 @@ The training-time prediction divides logits by a temperature T before the
 softmax, which smooths the distribution; the cross-entropy against the
 (optionally label-smoothed) reference is then multiplied by T so gradient
 magnitudes at the logit level are preserved. Decoding never applies the
-temperature. Everything here is pure numpy on plain vectors, except
-`tempered_loss`, which builds the batched loss out of tape primitives.
+temperature.
+
+`tempered_loss` is the one implementation of the loss: the batched form,
+built out of tape primitives, that training runs. The scalar API
+(`tempered_cross_entropy`, `analytic_logit_gradient`) is a one-row view of
+it, so checks of the scalar loss and its gradient test the training code.
 """
 
 from __future__ import annotations
@@ -15,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
+from .data import PAD_ID
 from .errors import ConfigError, ContractError
 
 Array = np.ndarray
-
-PAD_ID = 0
 
 
 @dataclass(frozen=True)
@@ -57,64 +60,44 @@ class LabelDistribution:
             raise ConfigError("smoothing needs a vocabulary of at least 2 tokens")
 
     def vector(self) -> Array:
-        out = np.full(
-            self.vocab_size,
-            self.smoothing / (self.vocab_size - 1) if self.smoothing > 0.0 else 0.0,
-        )
-        out[self.target_id] = 1.0 - self.smoothing
-        return out
+        # pad id -1 matches no target, so a target id of 0 keeps its label row
+        return smoothed_label_array([self.target_id], self.vocab_size, self.smoothing, pad_id=-1)[0]
 
 
 def tempered_softmax(logits: Array, temperature: float) -> Array:
     """softmax(logits / T); argmax is identical to argmax(logits) for any T > 0."""
     if temperature <= 0.0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
-    x = np.asarray(logits, dtype=np.float64) / temperature
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return tt.softmax(np.asarray(logits, dtype=np.float64) / temperature)
 
 
-def _log_tempered_softmax(logits: Array, temperature: float) -> Array:
-    x = np.asarray(logits, dtype=np.float64) / temperature
-    z = x - x.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+def _row_loss(logits: Array, label: LabelDistribution, cfg: TemperingConfig) -> tuple[tt.Tensor, tt.Tensor]:
+    """`tempered_loss` over a one-row batch: the [1, vocab] logits tensor and the loss."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.shape != (label.vocab_size,):
+        raise ContractError(
+            f"logits shape {logits.shape} does not match vocabulary size {label.vocab_size}"
+        )
+    row = tt.Tensor(logits[None, :], tracked=True)
+    return row, tempered_loss(row, label.vector()[None, :], 1, cfg)
 
 
 def tempered_cross_entropy(logits: Array, label: LabelDistribution, cfg: TemperingConfig) -> float:
     """Cross-entropy of the temperature-scaled prediction against `label`,
-    multiplied by the temperature when `cfg.rescale_loss` is set.
-
-    Computed via log-softmax directly, never as log of a softmax output.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.shape != (label.vocab_size,):
-        raise ContractError(
-            f"logits shape {logits.shape} does not match vocabulary size {label.vocab_size}"
-        )
-    logp = _log_tempered_softmax(logits, cfg.temperature)
-    loss = -float(np.dot(logp, label.vector()))
-    if cfg.rescale_loss:
-        loss *= cfg.temperature
-    return loss
+    multiplied by the temperature when `cfg.rescale_loss` is set."""
+    return _row_loss(logits, label, cfg)[1].item()
 
 
 def analytic_logit_gradient(logits: Array, label: LabelDistribution, cfg: TemperingConfig) -> Array:
-    """Closed-form gradient of `tempered_cross_entropy` w.r.t. the logits.
+    """Gradient of `tempered_cross_entropy` w.r.t. the logits, from the tape.
 
-    With rescaling on this is exactly p_temp - label: the loss multiplier T
-    cancels the 1/T from the chain rule through the scaled logits. With
-    rescaling off it is (p_temp - label) / T.
+    With rescaling on this is p_temp - label: the loss multiplier T cancels
+    the 1/T from the chain rule through the scaled logits. With rescaling
+    off it is (p_temp - label) / T.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.shape != (label.vocab_size,):
-        raise ContractError(
-            f"logits shape {logits.shape} does not match vocabulary size {label.vocab_size}"
-        )
-    diff = tempered_softmax(logits, cfg.temperature) - label.vector()
-    if cfg.rescale_loss:
-        return diff
-    return diff / cfg.temperature
+    with tt.GradientTape() as tape:
+        row, loss = _row_loss(logits, label, cfg)
+    return tt.backward(tape, loss)[row][0]
 
 
 def shannon_entropy(p: Array) -> float:
@@ -183,9 +166,4 @@ def entropy_views(logits: Array, token_mask: Array, temperature: float) -> tuple
 
 
 def _entropy_rows(rows: Array) -> Array:
-    z = rows - rows.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e.sum(axis=-1, keepdims=True)
-    p = e / s
-    logp = z - np.log(s)
-    return -(p * logp).sum(axis=-1)
+    return -(tt.softmax(rows) * tt.log_softmax(rows)).sum(axis=-1)

@@ -7,6 +7,9 @@ dropout. Storage is row-major float64 throughout; every backward rule is
 hand-written and checked against central finite differences in the test
 suite. Broadcasting is deliberately restricted to bias-add and row-wise
 ops so each rule stays auditable.
+
+`softmax` and `log_softmax` are the package's one stable softmax pair, on
+plain arrays; the primitives, the tempering diagnostics and decoding use it.
 """
 
 from __future__ import annotations
@@ -205,14 +208,26 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _emit(out, (x,), lambda g: (g.transpose(inv),))
 
 
+def softmax(x: Array) -> Array:
+    """Softmax of a plain array over its last axis, with max-subtraction."""
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def log_softmax(x: Array) -> Array:
+    """Log-softmax of a plain array over its last axis, computed directly
+    (not as the log of a softmax)."""
+    z = x - x.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
 def row_softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis, computed with max-subtraction."""
+    """`softmax` over the last axis, on the tape."""
     xm = x.array
     if not np.all(np.isfinite(xm)):
         raise NumericError("row_softmax: non-finite input")
-    z = xm - xm.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = softmax(xm)
 
     def bwd(g: Array):
         return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
@@ -221,12 +236,11 @@ def row_softmax(x: Tensor) -> Tensor:
 
 
 def log_row_softmax(x: Tensor) -> Tensor:
-    """Log-softmax over the last axis, computed directly (not log of softmax)."""
+    """`log_softmax` over the last axis, on the tape."""
     xm = x.array
     if not np.all(np.isfinite(xm)):
         raise NumericError("log_row_softmax: non-finite input")
-    z = xm - xm.max(axis=-1, keepdims=True)
-    out = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    out = log_softmax(xm)
 
     def bwd(g: Array):
         p = np.exp(out)

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as tt
 from .data import PAD_ID, Batch, Pair, Vocabulary, encode_pairs, make_batches
 from .decoding import greedy_decode_batch
 from .errors import ConfigError, ContractError, NumericError
 from .metrics import corpus_bleu
-from .model import ModelConfig, TransformerModel
+from .model import ModelConfig, TransformerModel, save_checkpoint
 from .tempering import TemperingConfig, entropy_views, smoothed_label_array, tempered_loss
 from .tensor import GradientTape, Tensor, backward
 
@@ -268,14 +268,16 @@ def train_step(
     return TransformerModel(model.config, new_params), record
 
 
-def evaluate_checkpoint(model: TransformerModel, data: TaskData, split: str = "dev") -> float:
-    """Greedy corpus BLEU on a held-out split; no temperature at decode time."""
-    pairs = getattr(data, split)
-    sources = [data.src_vocab.encode(src) for src, _ in pairs]
+def greedy_outputs(model: TransformerModel, data: TaskData, split: str) -> list[tuple[str, ...]]:
+    """Greedy target tokens for every source of a split; no temperature at decode time."""
+    sources = [data.src_vocab.encode(src) for src, _ in getattr(data, split)]
     hyps = greedy_decode_batch(model, sources, data.decode_max_length)
-    hyp_tokens = [data.tgt_vocab.decode(h.surface(), strip_special=False) for h in hyps]
-    refs = [tgt for _, tgt in pairs]
-    return corpus_bleu(hyp_tokens, refs)
+    return [data.tgt_vocab.decode(h.surface(), strip_special=False) for h in hyps]
+
+
+def evaluate_checkpoint(model: TransformerModel, data: TaskData, split: str = "dev") -> float:
+    """Greedy corpus BLEU on a held-out split."""
+    return corpus_bleu(greedy_outputs(model, data, split), [tgt for _, tgt in getattr(data, split)])
 
 
 def train(
@@ -286,9 +288,8 @@ def train(
     checkpoint_dir=None,
 ) -> TrainResult:
     """Run the optimisation loop until max_steps or the dev-BLEU stopping
-    rule fires. Deterministic under fixed seeds."""
-    from .model import save_checkpoint  # local import to keep module deps one-way
-
+    rule fires. Deterministic under fixed seeds. With `checkpoint_dir`, the
+    retained checkpoints (the last `checkpoint_keep`) are kept there as .npz."""
     encoded = encode_pairs(data.train, data.src_vocab, data.tgt_vocab)
     adam = AdamState(model.params)
     record = ExperimentRecord()
@@ -310,10 +311,12 @@ def train(
             if step % trainer.eval_interval == 0:
                 ckpt = snapshot(model, step)
                 checkpoints.append(ckpt)
-                if len(checkpoints) > trainer.checkpoint_keep:
-                    checkpoints.pop(0)
                 if checkpoint_dir is not None:
                     save_checkpoint(f"{checkpoint_dir}/{ckpt.checkpoint_id}.npz", model, step)
+                if len(checkpoints) > trainer.checkpoint_keep:
+                    dropped = checkpoints.pop(0)
+                    if checkpoint_dir is not None:
+                        os.remove(f"{checkpoint_dir}/{dropped.checkpoint_id}.npz")
                 dev_bleu = evaluate_checkpoint(model, data, "dev")
                 record.evals.append(
                     EvalRecord(step=step, dev_bleu=dev_bleu, checkpoint_id=ckpt.checkpoint_id)

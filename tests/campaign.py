@@ -1,61 +1,47 @@
 """Shared training campaign backing the trend-level acceptance criteria.
 
 Twelve desk-scale runs (temperatures {1, 2, 3, 5} x three seeds) on the
-noisy copy task. Runs are deterministic, so finished results are cached on
-disk keyed by the campaign fingerprint; delete the cache directory to
-force retraining.
+noisy copy task, each one `run_experiment` of `CONFIG`. Runs are
+deterministic, so finished results are cached on disk keyed by the campaign
+fingerprint; delete the cache directory to force retraining.
 """
 
 import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from temperlab.data import SyntheticTaskSpec
-from temperlab.decoding import BeamConfig, beam_decode, greedy_decode_batch
-from temperlab.experiments import entropy_probe
-from temperlab.metrics import corpus_bleu, output_similarity_bleu
-from temperlab.model import ModelConfig, init_parameters, load_checkpoint, save_checkpoint
-from temperlab.tempering import TemperingConfig
-from temperlab.training import (
-    TaskData,
-    TrainerConfig,
-    average_checkpoints,
-    evaluate_checkpoint,
-    model_from_checkpoint,
-    train,
+from temperlab.decoding import BeamConfig, beam_decode
+from temperlab.experiments import (
+    BeamGridConfig,
+    ExperimentConfig,
+    SeedConfig,
+    entropy_probe,
+    run_experiment,
+    test_greedy_outputs,
 )
+from temperlab.metrics import corpus_bleu, output_similarity_bleu
+from temperlab.model import load_checkpoint
+from temperlab.training import TrainerConfig
 
 CAMPAIGN_VERSION = 2
 TEMPERATURES = (1.0, 2.0, 3.0, 5.0)
 SEEDS = (0, 1, 2)
 
-TASK = SyntheticTaskSpec(
-    kind="copy",
-    alphabet_size=64,
-    length_range=(5, 20),
-    corpus_sizes=(2000, 200, 200),
-    noise_rate=0.1,
-    seed=0,
+# desk defaults (noisy copy task, 2-layer dim-64 model, label smoothing 0.1)
+# with 1000 training steps and decode length 25; run s uses model seed
+# 100 + s and training seed 200 + s
+CONFIG = ExperimentConfig(
+    trainer=TrainerConfig(max_steps=1000),
+    beam_grid=BeamGridConfig(max_length=25),
 )
-MODEL = ModelConfig()  # desk defaults: 2 layers, dim 64, 4 heads, ff 128
-TRAINER = TrainerConfig(
-    lr_scale=0.05,
-    warmup_steps=200,
-    batch_size=32,
-    eval_interval=200,
-    patience=10,
-    min_delta=0.1,
-    max_steps=1000,
-    checkpoint_keep=10,
-)
-DECODE_MAX_LENGTH = 25
-BEAM4 = BeamConfig(beam_size=4, length_penalty_alpha=1.0, max_length=DECODE_MAX_LENGTH)
+BEAM4 = BeamConfig(beam_size=4, length_penalty_alpha=1.0, max_length=CONFIG.beam_grid.max_length)
 
 
 def cache_dir() -> Path:
@@ -67,12 +53,12 @@ def campaign_fingerprint() -> str:
     payload = json.dumps(
         {
             "version": CAMPAIGN_VERSION,
-            "task": dataclasses.asdict(TASK),
-            "model": dataclasses.asdict(MODEL),
-            "trainer": dataclasses.asdict(TRAINER),
+            "task": dataclasses.asdict(CONFIG.task),
+            "model": dataclasses.asdict(CONFIG.model),
+            "trainer": dataclasses.asdict(CONFIG.trainer),
             "temperatures": TEMPERATURES,
             "seeds": SEEDS,
-            "max_len": DECODE_MAX_LENGTH,
+            "max_len": CONFIG.beam_grid.max_length,
         },
         sort_keys=True,
     )
@@ -84,7 +70,7 @@ class CampaignRun:
     temperature: float
     seed: int
     steps: int
-    train_wall_s: float
+    train_wall_s: float  # run_experiment: training, dev evaluation, artifacts
     dev_bleu: float
     test_greedy_bleu: float
     test_beam4_bleu: float
@@ -96,66 +82,41 @@ class CampaignRun:
     model_path: str
 
 
-def build_task_data() -> TaskData:
-    from temperlab.data import build_vocabulary, generate_synthetic_corpus
-
-    corpus = generate_synthetic_corpus(TASK)
-    return TaskData(
-        train=corpus.train,
-        dev=corpus.dev,
-        test=corpus.test,
-        src_vocab=build_vocabulary(corpus.train, "source"),
-        tgt_vocab=build_vocabulary(corpus.train, "target"),
-        decode_max_length=DECODE_MAX_LENGTH,
-    )
-
-
-def _run_one(data: TaskData, temperature: float, seed: int, out: Path) -> CampaignRun:
-    mcfg = MODEL.with_vocabs(len(data.src_vocab), len(data.tgt_vocab))
-    model = init_parameters(mcfg, 100 + seed)
-    trainer = dataclasses.replace(TRAINER, seed=200 + seed)
-    tempering = TemperingConfig(temperature=temperature, rescale_loss=True, label_smoothing=0.1)
+def _run_one(temperature: float, seed: int, out: Path) -> CampaignRun:
+    cfg = dataclasses.replace(CONFIG, seeds=SeedConfig(model=100 + seed, train=200 + seed))
     t0 = time.perf_counter()
-    result = train(model, data, tempering, trainer)
+    run = run_experiment(cfg, temperature, out / f"run_T{temperature:g}_s{seed}")
     train_wall_s = time.perf_counter() - t0
-    averaged = average_checkpoints(result.checkpoints)
-    decode_model = model_from_checkpoint(averaged)
+    shutil.rmtree(Path(run.run_dir) / "checkpoints")  # the cache keeps only the average
 
-    dev_bleu = evaluate_checkpoint(decode_model, data, "dev")
-    sources = [data.src_vocab.encode(s) for s, _ in data.test]
+    data = run.data
     refs = [t for _, t in data.test]
-    greedy = greedy_decode_batch(decode_model, sources, DECODE_MAX_LENGTH)
-    g_tok = [data.tgt_vocab.decode(h.surface(), strip_special=False) for h in greedy]
-    beam = [beam_decode(decode_model, s, BEAM4)[0] for s in sources]
-    b_tok = [data.tgt_vocab.decode(h.surface(), strip_special=False) for h in beam]
-
-    tempered_h, raw_h = entropy_probe(decode_model, data, temperature, split="dev")
-    tail = result.record.steps[len(result.record.steps) * 3 // 4 :]
-    grad_norms = [s.grad_norm for s in result.record.steps]
-
-    model_path = out / f"model_T{temperature:g}_s{seed}.npz"
-    save_checkpoint(model_path, decode_model, result.record.steps[-1].step)
+    greedy = test_greedy_outputs(run)
+    sources = [data.src_vocab.encode(s) for s, _ in data.test]
+    beam = [beam_decode(run.decode_model, src, BEAM4)[0] for src in sources]
+    beam = [data.tgt_vocab.decode(h.surface(), strip_special=False) for h in beam]
+    tempered_h, raw_h = entropy_probe(run.decode_model, data, temperature, split="dev")
+    grad_norms = [s.grad_norm for s in run.record.steps]
     return CampaignRun(
         temperature=temperature,
         seed=seed,
-        steps=result.record.steps[-1].step,
+        steps=run.steps_trained,
         train_wall_s=train_wall_s,
-        dev_bleu=dev_bleu,
-        test_greedy_bleu=corpus_bleu(g_tok, refs),
-        test_beam4_bleu=corpus_bleu(b_tok, refs),
-        similarity_bleu=output_similarity_bleu(g_tok, b_tok),
+        dev_bleu=run.dev_bleu,
+        test_greedy_bleu=corpus_bleu(greedy, refs),
+        test_beam4_bleu=corpus_bleu(beam, refs),
+        similarity_bleu=output_similarity_bleu(greedy, beam),
         tempered_entropy=tempered_h,
         raw_entropy=raw_h,
-        tail_grad_norm=float(np.mean([s.grad_norm for s in tail])),
+        tail_grad_norm=float(np.mean(grad_norms[len(grad_norms) * 3 // 4 :])),
         grad_norms=grad_norms,
-        model_path=str(model_path),
+        model_path=str(Path(run.run_dir) / "average.npz"),
     )
 
 
 def run_campaign(verbose: bool = False) -> dict[tuple[float, int], CampaignRun]:
     out = cache_dir()
     out.mkdir(parents=True, exist_ok=True)
-    data = None
     runs: dict[tuple[float, int], CampaignRun] = {}
     for seed in SEEDS:
         for temperature in TEMPERATURES:
@@ -164,9 +125,7 @@ def run_campaign(verbose: bool = False) -> dict[tuple[float, int], CampaignRun]:
                 with open(key, encoding="utf-8") as fh:
                     runs[(temperature, seed)] = CampaignRun(**json.load(fh))
                 continue
-            if data is None:
-                data = build_task_data()
-            run = _run_one(data, temperature, seed, out)
+            run = _run_one(temperature, seed, out)
             with open(key, "w", encoding="utf-8") as fh:
                 json.dump(dataclasses.asdict(run), fh)
             runs[(temperature, seed)] = run

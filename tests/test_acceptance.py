@@ -74,6 +74,7 @@ def test_criterion_01_gradient_identity():
         cfg = TemperingConfig(temperature=temperature, rescale_loss=True, label_smoothing=eps)
         label = LabelDistribution(target, v, eps)
 
+        # the scalar API is a one-row tempered_loss, so `grad` is the tape's
         grad = analytic_logit_gradient(logits, label, cfg)
         identity = tempered_softmax(logits, temperature) - label.vector()
         worst_exact = max(worst_exact, float(np.max(np.abs(grad - identity))))
@@ -292,15 +293,15 @@ def test_criterion_09_tempered_beats_baseline(campaign_runs):
 
 
 def test_criterion_10_decoding_speed(campaign_runs):
-    from temperlab.experiments import time_decoding
+    from temperlab.experiments import build_task_data, time_decoding
 
     run = campaign_runs[(1.0, campaign.SEEDS[0])]
     model = campaign.load_campaign_model(run)
-    data = campaign.build_task_data()
+    data, _ = build_task_data(campaign.CONFIG)
     sources = [data.src_vocab.encode(s) for s, _ in data.test]
     assert len(sources) == 200
     rows = time_decoding(
-        model, sources, campaign.DECODE_MAX_LENGTH, beam_sizes=(4, 10), passes=3, warmup=5
+        model, sources, data.decode_max_length, beam_sizes=(4, 10), passes=3, warmup=5
     )
     by_mode = {r["mode"]: r for r in rows}
     r4 = by_mode["beam4"]["slowdown_vs_greedy"]

@@ -32,6 +32,12 @@ class TableModel:
     def decode_step(self, encoded, prefix):
         return self.table[int(prefix[-1])]
 
+    def encode_batch(self, sources):
+        return None
+
+    def decode_step_batch(self, encoded, prefixes):
+        return self.table[prefixes[:, -1]]
+
 
 def log_softmax(row):
     z = row - row.max()

@@ -33,6 +33,11 @@ def reference_smoothed_ce(logits, target, eps):
     return -float(np.dot(label, logp))
 
 
+def reference_tempered_ce(logits, target, eps, temperature):
+    """The oracle above on logits / T, multiplied by T (loss rescaling on)."""
+    return temperature * reference_smoothed_ce(np.asarray(logits) / temperature, target, eps)
+
+
 # ---------------------------------------------------------------------------
 # configs and labels
 
@@ -95,12 +100,26 @@ def test_higher_temperature_raises_entropy():
 @settings(max_examples=60, deadline=None)
 @given(finite_logits, st.floats(min_value=0.1, max_value=20.0))
 def test_argmax_invariance(logits, temperature):
-    # a top-2 gap below float spacing can collapse under division; require a
-    # resolvable margin (randomised draws in the acceptance suite never tie)
-    top = np.sort(logits)
-    assume(len(top) < 2 or top[-1] - top[-2] > 1e-9 or top[-1] == top[-2])
+    # an entry within float spacing of the max collapses onto it once the max
+    # is subtracted (see the near-tie test below); require every entry below
+    # the max to be resolvably below it
+    below = logits[logits < logits.max()]
+    assume(below.size == 0 or logits.max() - below.max() > 1e-9)
     p = tempered_softmax(logits, temperature)
     assert int(np.argmax(p)) == int(np.argmax(logits))
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0, 7.0])
+def test_argmax_of_near_tie_within_float_spacing(temperature):
+    # found by Hypothesis: x - max rounds exp(-1.64e-256 / T) to 1, so the
+    # softmax is uniform and its argmax is index 0, not the logits' index 1;
+    # float64 only promises an index whose logit is within spacing of the max
+    logits = np.array([-1.64e-256, 0.0, 0.0])
+    p = tempered_softmax(logits, temperature)
+    assert np.all(np.isfinite(p))
+    assert p.sum() == pytest.approx(1.0, abs=1e-15)
+    k = int(np.argmax(p))
+    assert logits.max() - logits[k] <= temperature * np.finfo(np.float64).eps
 
 
 @settings(max_examples=40, deadline=None)
@@ -265,16 +284,20 @@ def test_tempered_loss_gradient_is_ptemp_minus_label_over_tokens(rng):
 
 
 def test_tempered_loss_matches_vector_form(rng):
-    logits_arr = rng.uniform(-2, 2, size=(1, 2, 6))
-    ids = np.array([[4, 5]])
+    # the scalar loss is a one-row tempered_loss, so compare both with the
+    # independent numpy oracle rather than with each other
+    logits_arr = rng.uniform(-2, 2, size=(2, 2, 6))
+    ids = np.array([[4, 5], [3, 0]])  # the last position is padding
     cfg = TemperingConfig(temperature=2.0, rescale_loss=True, label_smoothing=0.1)
     labels = smoothed_label_array(ids, 6, cfg.label_smoothing, pad_id=0)
-    loss = tempered_loss(Tensor(logits_arr), labels, 2, cfg).item()
-    per_tok = [
-        tempered_cross_entropy(logits_arr[0, i], LabelDistribution(int(ids[0, i]), 6, 0.1), cfg)
-        for i in range(2)
-    ]
-    assert loss == pytest.approx(sum(per_tok) / 2, abs=1e-12)
+    loss = tempered_loss(Tensor(logits_arr), labels, 3, cfg).item()
+    kept = [(0, 0), (0, 1), (1, 0)]
+    expected = np.mean([reference_tempered_ce(logits_arr[k], ids[k], 0.1, 2.0) for k in kept])
+    assert loss == pytest.approx(expected, abs=1e-12)
+    # in the scalar API target id 0 is a token like any other, not padding
+    row = logits_arr[1, 1]
+    ours = tempered_cross_entropy(row, LabelDistribution(0, 6, 0.1), cfg)
+    assert ours == pytest.approx(reference_tempered_ce(row, 0, 0.1, 2.0), abs=1e-12)
 
 
 def test_entropy_views_agree_with_scalar_entropy(rng):

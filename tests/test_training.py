@@ -291,14 +291,17 @@ def test_early_stopping_halts_within_one_interval(trained_copy):
     assert res.record.steps[-1].step < 3000
 
 
-def test_checkpoint_ring_keeps_last_k():
+def test_checkpoint_ring_keeps_last_k(tmp_path):
     data = micro_data()
     trainer = TrainerConfig(
         lr_scale=0.05, warmup_steps=10, batch_size=8, eval_interval=5, max_steps=40,
         checkpoint_keep=3, seed=2,
     )
-    res = train(micro_model(data), data, TemperingConfig(1.0, True, 0.1), trainer)
+    res = train(micro_model(data), data, TemperingConfig(1.0, True, 0.1), trainer, tmp_path)
     assert [c.step for c in res.checkpoints] == [30, 35, 40]
+    # the directory holds the same window, not every snapshot
+    files = sorted(p.name for p in tmp_path.iterdir())
+    assert files == ["step000030.npz", "step000035.npz", "step000040.npz"]
 
 
 def test_non_finite_forward_aborts_with_context():
