@@ -3,13 +3,24 @@ softmax training: a float64 autodiff core, a small transformer, greedy and
 beam decoding, BLEU with significance testing, and experiment commands."""
 
 import os
+import sys
+import warnings
 
 # Desk-scale tensors are far too small for BLAS thread pools; oversubscribed
-# threads slow the training step several-fold. Only takes effect when numpy
-# has not been imported yet and the variables are unset.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-del _var, os
+# threads slow the training step several-fold, and the thread count changes
+# parameter bits. Only takes effect when numpy has not been imported yet.
+_unset = [v for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+          if v not in os.environ]
+os.environ.update(dict.fromkeys(_unset, "1"))
+if _unset and "numpy" in sys.modules:
+    warnings.warn(
+        f"numpy was imported before temperlab with {', '.join(_unset)} unset: BLAS keeps its "
+        "own thread count, which changes parameter bits. For bit-identical runs (README, "
+        "Reproducibility) set the three variables to 1 or import temperlab before numpy",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+del _unset, os, sys, warnings
 
 from .data import (
     BOS_ID,
@@ -22,7 +33,6 @@ from .data import (
     generate_multilingual_corpus,
     generate_synthetic_corpus,
     make_batches,
-    prepend_target_tag,
 )
 from .decoding import BeamConfig, Hypothesis, beam_decode, greedy_decode, length_penalty
 from .errors import (

@@ -8,7 +8,7 @@ omitted) with dotted-key overrides via --set; exit codes are 0 on success,
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -16,38 +16,22 @@ from .data import Vocabulary
 from .decoding import BeamConfig, decode_corpus
 from .errors import ConfigError, DataError, NumericError
 from .experiments import (
-    apply_overrides,
-    config_from_dict,
-    config_hash,
-    config_to_dict,
-    default_config,
+    ExperimentConfig,
+    load_config,
     run_analysis,
     run_experiment,
     run_sweep,
+    write_hypotheses,
+    write_sidecar,
 )
 from .model import load_checkpoint
 
 
-def _load_cfg(args) -> "object":
-    if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
-    else:
-        raw = config_to_dict(default_config())
-    raw = apply_overrides(raw, args.set or [])
-    if getattr(args, "no_dropout", False):
-        raw = apply_overrides(
-            raw,
-            [
-                "model.attention_dropout=0.0",
-                "model.embedding_dropout=0.0",
-                "model.layer_dropout=0.0",
-            ],
-        )
-    return config_from_dict(raw)
+def _load_cfg(args) -> ExperimentConfig:
+    cfg = load_config(args.config, args.set or ())
+    if args.no_dropout:
+        cfg = dataclasses.replace(cfg, model=cfg.model.without_dropout())
+    return cfg
 
 
 def _cmd_train(args) -> int:
@@ -94,13 +78,18 @@ def _cmd_decode(args) -> int:
         length_penalty_alpha=args.alpha,
         max_length=args.max_length,
     )
+    # fail before decoding anything, on the bound that `build_task_data` applies
+    limit = model.config.max_positions
+    if args.max_length + 1 > limit:
+        raise ConfigError(f"--max-length {args.max_length} plus BOS exceeds max_positions {limit}")
+    for number, src in enumerate(sources, start=1):
+        if len(src) > limit:
+            raise DataError(f"input line {number} has {len(src)} tokens; max_positions is {limit}")
     mode = "greedy" if args.beam_size == 1 and args.alpha == 0.0 else "beam"
-    hyps, timings = decode_corpus(model, sources, mode, beam_cfg)
-    from .experiments import write_hypotheses, write_sidecar
-
+    hyps, wall_ns = decode_corpus(model, sources, mode, beam_cfg)
     out_tokens = [tgt_vocab.decode(h.surface(), strip_special=False) for h in hyps]
     write_hypotheses(args.output, out_tokens)
-    write_sidecar(str(args.output) + ".meta.jsonl", hyps, timings)
+    write_sidecar(str(args.output) + ".meta.jsonl", hyps, wall_ns)
     print(f"decoded {len(hyps)} sentences ({mode}) to {args.output}")
     return 0
 

@@ -253,15 +253,6 @@ MULTILINGUAL_TAGS = {
 }
 
 
-def prepend_target_tag(pair: Pair, tag: str, source_vocab: Vocabulary) -> Pair:
-    """Prefix the source with a target-selector tag token. Not idempotent:
-    applying twice yields two tags."""
-    if tag not in source_vocab:
-        raise ConfigError(f"tag {tag!r} is not registered in the source vocabulary")
-    src, tgt = pair
-    return (tag,) + tuple(src), tuple(tgt)
-
-
 def generate_multilingual_corpus(
     base: SyntheticTaskSpec, kinds: tuple[str, ...] = TASK_KINDS
 ) -> tuple[ParallelCorpus, tuple[str, ...]]:
@@ -370,26 +361,3 @@ def make_batches(encoded: list[tuple[Array, Array]], batch_size: int, seed: int)
     chunks = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
     rng.shuffle(chunks)
     return [pad_batch([encoded[i] for i in chunk], index=ci) for ci, chunk in enumerate(chunks)]
-
-
-# ---------------------------------------------------------------------------
-# plain-text corpus files
-
-
-def save_parallel(pairs: list[Pair], source_path, target_path) -> None:
-    with open(source_path, "w", encoding="utf-8") as fs, open(target_path, "w", encoding="utf-8") as ft:
-        for src, tgt in pairs:
-            fs.write(" ".join(src) + "\n")
-            ft.write(" ".join(tgt) + "\n")
-
-
-def load_parallel(source_path, target_path) -> list[Pair]:
-    with open(source_path, encoding="utf-8") as fs:
-        src_lines = fs.read().splitlines()
-    with open(target_path, encoding="utf-8") as ft:
-        tgt_lines = ft.read().splitlines()
-    if len(src_lines) != len(tgt_lines):
-        raise DataError(
-            f"parallel files differ in length: {len(src_lines)} vs {len(tgt_lines)} lines"
-        )
-    return [(tuple(s.split()), tuple(t.split())) for s, t in zip(src_lines, tgt_lines)]

@@ -189,21 +189,14 @@ def greedy_decode_batch(model, sources: list[Array], max_length: int) -> list[Hy
     return out
 
 
-@dataclass
-class SentenceTiming:
-    score: float
-    log_prob: float
-    length: int
-    wall_ns: int
-
-
 def decode_corpus(
     model,
     sources: list[Array],
     mode: str,
     beam_cfg: BeamConfig,
-) -> tuple[list[Hypothesis], list[SentenceTiming]]:
-    """Decode one sentence at a time, recording per-sentence wall time.
+) -> tuple[list[Hypothesis], list[int]]:
+    """Decode one sentence at a time; returns the hypotheses and each
+    sentence's wall time in nanoseconds.
 
     `mode` is "greedy" or "beam"; greedy ignores the beam size and penalty
     but honours max_length.
@@ -211,21 +204,13 @@ def decode_corpus(
     if mode not in ("greedy", "beam"):
         raise ContractError(f"unknown decode mode {mode!r}")
     hyps: list[Hypothesis] = []
-    timings: list[SentenceTiming] = []
+    wall_ns: list[int] = []
     for src in sources:
         t0 = time.perf_counter_ns()
         if mode == "greedy":
             hyp = greedy_decode(model, src, beam_cfg.max_length)
         else:
             hyp = beam_decode(model, src, beam_cfg)[0]
-        ns = time.perf_counter_ns() - t0
+        wall_ns.append(time.perf_counter_ns() - t0)
         hyps.append(hyp)
-        timings.append(
-            SentenceTiming(
-                score=hyp.score,
-                log_prob=hyp.log_prob,
-                length=len(hyp.surface()),
-                wall_ns=ns,
-            )
-        )
-    return hyps, timings
+    return hyps, wall_ns

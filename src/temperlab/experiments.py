@@ -25,7 +25,7 @@ from .data import (
     generate_multilingual_corpus,
     generate_synthetic_corpus,
 )
-from .decoding import BeamConfig, beam_decode, decode_corpus
+from .decoding import BeamConfig, decode_corpus
 from .errors import ConfigError, TemperlabError
 from .metrics import corpus_bleu, output_similarity_bleu, paired_bootstrap
 from .model import ModelConfig, init_parameters, load_checkpoint, save_checkpoint
@@ -34,6 +34,7 @@ from .training import (
     TaskData,
     TrainerConfig,
     average_checkpoints,
+    beam_outputs,
     evaluate_checkpoint,
     greedy_outputs,
     model_from_checkpoint,
@@ -125,13 +126,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+def load_config(path=None, overrides=()) -> ExperimentConfig:
+    """The JSON config file at `path` (desk defaults when None) with the
+    `dotted.key=value` overrides applied."""
+    if path is None:
+        raw = config_to_dict(default_config())
+    else:
+        with open(path, encoding="utf-8") as fh:
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    return config_from_dict(apply_overrides(raw, overrides))
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -194,10 +200,6 @@ def build_task_data(cfg: ExperimentConfig) -> tuple[TaskData, tuple[str, ...]]:
     return data, tags
 
 
-def resolve_model_config(cfg: ExperimentConfig, data: TaskData) -> ModelConfig:
-    return cfg.model.with_vocabs(len(data.src_vocab), len(data.tgt_vocab))
-
-
 # ---------------------------------------------------------------------------
 # single run
 
@@ -219,7 +221,7 @@ def run_experiment(cfg: ExperimentConfig, temperature: float, run_dir) -> RunRes
     run_dir = Path(run_dir)
     (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     data, _tags = build_task_data(cfg)
-    mcfg = resolve_model_config(cfg, data)
+    mcfg = cfg.model.with_vocabs(len(data.src_vocab), len(data.tgt_vocab))
     model = init_parameters(mcfg, cfg.seeds.model)
     trainer = dataclasses.replace(cfg.trainer, seed=cfg.seeds.train)
     tempering = dataclasses.replace(cfg.tempering, temperature=temperature)
@@ -274,16 +276,16 @@ def write_hypotheses(path, token_lines: list[tuple[str, ...]]) -> None:
             fh.write(" ".join(tokens) + "\n")
 
 
-def write_sidecar(path, hyps, timings) -> None:
+def write_sidecar(path, hyps, wall_ns: list[int]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for hyp, tm in zip(hyps, timings):
+        for hyp, ns in zip(hyps, wall_ns):
             fh.write(
                 json.dumps(
                     {
                         "score": hyp.score,
                         "log_prob": hyp.log_prob,
                         "length": len(hyp.surface()),
-                        "wall_ns": tm.wall_ns,
+                        "wall_ns": ns,
                     }
                 )
                 + "\n"
@@ -329,15 +331,12 @@ def oracle_beam_search(run: RunResult, grid: BeamGridConfig) -> tuple[float, int
     This reproduces a test-set-selected ("oracle") number: it is a harness
     for studying curves, not a deployable selection procedure.
     """
-    sources = [run.data.src_vocab.encode(s) for s, _ in run.data.test]
     refs = [t for _, t in run.data.test]
     best = (-1.0, 0, 0.0)
     for beam in grid.beam_sizes:
         for alpha in grid.length_penalties:
             cfg = BeamConfig(beam_size=beam, length_penalty_alpha=alpha, max_length=grid.max_length)
-            hyps = [beam_decode(run.decode_model, src, cfg)[0] for src in sources]
-            tokens = [run.data.tgt_vocab.decode(h.surface(), strip_special=False) for h in hyps]
-            score = corpus_bleu(tokens, refs)
+            score = corpus_bleu(beam_outputs(run.decode_model, run.data, "test", cfg), refs)
             if score > best[0]:
                 best = (score, beam, alpha)
     return best
@@ -587,12 +586,10 @@ def run_analysis(run_dirs: list, out_dir, with_timing: bool = True, with_similar
 
         if with_similarity:
             for rd, (mdl, data, meta) in models.items():
-                sources = [data.src_vocab.encode(s) for s, _ in data.test]
                 bc = BeamConfig(beam_size=4, length_penalty_alpha=1.0, max_length=data.decode_max_length)
-                beam = [beam_decode(mdl, src, bc)[0] for src in sources]
-                g_tok = greedy_outputs(mdl, data, "test")
-                b_tok = [data.tgt_vocab.decode(hh.surface(), strip_special=False) for hh in beam]
-                sim = output_similarity_bleu(g_tok, b_tok)
+                sim = output_similarity_bleu(
+                    greedy_outputs(mdl, data, "test"), beam_outputs(mdl, data, "test", bc)
+                )
                 sim_rows.append([meta["temperature"], sim, meta["config_hash"]])
                 summary.append(f"T={meta['temperature']:g}: greedy-beam4 similarity BLEU {sim:.2f}")
             _write_csv(

@@ -29,11 +29,6 @@ Array = np.ndarray
 LN_EPS = 1e-6
 MASK_VALUE = -1e9
 
-# paper-scale presets, documented for reference; the class defaults are the
-# desk-scale configuration actually used by the experiments
-BASE_PRESET = dict(num_layers=6, model_dim=512, num_heads=8, ff_dim=2048)
-BIG_PRESET = dict(num_layers=6, model_dim=1024, num_heads=16, ff_dim=4096)
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -273,57 +268,47 @@ class TransformerModel:
         return logits.array[:, -1, :]
 
 
-def init_parameters(config: ModelConfig, seed: int) -> TransformerModel:
-    """Deterministic scaled-uniform initialisation.
+def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, initialiser) of every parameter, in initialisation draw
+    order; the initialiser is "glorot", "zeros" or "ones".
 
-    With recurrent stacking only layer 0 is created per stack, so the layer
+    With recurrent stacking only layer 0 exists per stack, so the layer
     parameters of a 1-layer shared model are bitwise identical to the
     unshared 1-layer model at the same seed.
     """
+    d, ff, tgt = config.model_dim, config.ff_dim, config.target_vocab
+    attention = [(w, (d, d), "glorot") for w in ("wq", "wk", "wv", "wo")]
+    attention += [(b, (d,), "zeros") for b in ("bq", "bk", "bv", "bo")]
+    norm = [("gain", (d,), "ones"), ("bias", (d,), "zeros")]
+    ffn = [("w1", (d, ff), "glorot"), ("b1", (ff,), "zeros")]
+    ffn += [("w2", (ff, d), "glorot"), ("b2", (d,), "zeros")]
+    enc = (("attn", attention), ("ln1", norm), ("ff", ffn), ("ln2", norm))
+    dec = (("self", attention), ("ln1", norm), ("cross", attention), ("ln2", norm))
+    dec += (("ff", ffn), ("ln3", norm))
+    layout = [("src_embed", (config.source_vocab, d), "glorot"), ("tgt_embed", (tgt, d), "glorot")]
+    stack = 1 if config.recurrent_stacking else config.num_layers
+    for side, blocks in (("enc", enc), ("dec", dec)):
+        for i in range(stack):
+            for block, parts in blocks:
+                layout += [(f"{side}{i}.{block}.{p}", shape, init) for p, shape, init in parts]
+    return layout + [("out_w", (d, tgt), "glorot"), ("out_b", (tgt,), "zeros")]
+
+
+def init_parameters(config: ModelConfig, seed: int) -> TransformerModel:
+    """Deterministic initialisation: scaled-uniform (Glorot) matrices drawn
+    in `parameter_layout` order, zero biases, unit norm gains."""
     if config.source_vocab < 1 or config.target_vocab < 1:
         raise ConfigError(
             "vocabulary sizes must be resolved to positive values before initialisation"
         )
     rng = np.random.default_rng(seed)
-    d, ff = config.model_dim, config.ff_dim
     params: dict[str, Tensor] = {}
-
-    def put(name: str, arr: Array) -> None:
+    for name, shape, init in parameter_layout(config):
+        if init == "glorot":
+            arr = _glorot(rng, *shape)
+        else:
+            arr = np.ones(shape) if init == "ones" else np.zeros(shape)
         params[name] = Tensor(arr, tracked=True)
-
-    def attention_block(prefix: str) -> None:
-        for part in ("wq", "wk", "wv", "wo"):
-            put(f"{prefix}.{part}", _glorot(rng, d, d))
-        for part in ("bq", "bk", "bv", "bo"):
-            put(f"{prefix}.{part}", np.zeros(d))
-
-    def norm_block(prefix: str) -> None:
-        put(f"{prefix}.gain", np.ones(d))
-        put(f"{prefix}.bias", np.zeros(d))
-
-    def ffn_block(prefix: str) -> None:
-        put(f"{prefix}.w1", _glorot(rng, d, ff))
-        put(f"{prefix}.b1", np.zeros(ff))
-        put(f"{prefix}.w2", _glorot(rng, ff, d))
-        put(f"{prefix}.b2", np.zeros(d))
-
-    put("src_embed", _glorot(rng, config.source_vocab, d))
-    put("tgt_embed", _glorot(rng, config.target_vocab, d))
-    stack = 1 if config.recurrent_stacking else config.num_layers
-    for i in range(stack):
-        attention_block(f"enc{i}.attn")
-        norm_block(f"enc{i}.ln1")
-        ffn_block(f"enc{i}.ff")
-        norm_block(f"enc{i}.ln2")
-    for i in range(stack):
-        attention_block(f"dec{i}.self")
-        norm_block(f"dec{i}.ln1")
-        attention_block(f"dec{i}.cross")
-        norm_block(f"dec{i}.ln2")
-        ffn_block(f"dec{i}.ff")
-        norm_block(f"dec{i}.ln3")
-    put("out_w", _glorot(rng, d, config.target_vocab))
-    put("out_b", np.zeros(config.target_vocab))
     return TransformerModel(config, params)
 
 
@@ -341,16 +326,19 @@ def save_checkpoint(path, model: TransformerModel, step: int) -> None:
 
 
 def load_checkpoint(path) -> tuple[TransformerModel, int]:
+    """Inverse of `save_checkpoint`; the arrays must match the names and
+    shapes of the stored configuration's `parameter_layout`."""
     with np.load(path, allow_pickle=False) as zf:
         config = ModelConfig(**json.loads(str(zf["__config__"])))
         step = int(zf["__step__"])
-        params = {
-            name: Tensor(zf[name], tracked=True)
-            for name in zf.files
-            if name not in ("__config__", "__step__")
-        }
-    reference = init_parameters(config, seed=0)
-    if set(params) != set(reference.params):
-        raise DataError("checkpoint parameter names do not match the stored configuration")
-    ordered = {name: params[name] for name in reference.params}
-    return TransformerModel(config, ordered), step
+        arrays = {name: zf[name] for name in zf.files if name not in ("__config__", "__step__")}
+    expected = {name: shape for name, shape, _ in parameter_layout(config)}
+    found = {name: arr.shape for name, arr in arrays.items()}
+    if found != expected:
+        name = min(n for n in expected.keys() | found.keys() if found.get(n) != expected.get(n))
+        raise DataError(
+            f"checkpoint parameter {name} has shape {found.get(name)}, the stored "
+            f"configuration needs {expected.get(name)} (None: no such parameter)"
+        )
+    params = {name: Tensor(arrays[name], tracked=True) for name in expected}
+    return TransformerModel(config, params), step

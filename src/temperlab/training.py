@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import PAD_ID, Batch, Pair, Vocabulary, encode_pairs, make_batches
-from .decoding import greedy_decode_batch
+from .decoding import BeamConfig, beam_decode, greedy_decode_batch
 from .errors import ConfigError, ContractError, NumericError
 from .metrics import corpus_bleu
 from .model import ModelConfig, TransformerModel, save_checkpoint
@@ -272,6 +272,15 @@ def greedy_outputs(model: TransformerModel, data: TaskData, split: str) -> list[
     """Greedy target tokens for every source of a split; no temperature at decode time."""
     sources = [data.src_vocab.encode(src) for src, _ in getattr(data, split)]
     hyps = greedy_decode_batch(model, sources, data.decode_max_length)
+    return [data.tgt_vocab.decode(h.surface(), strip_special=False) for h in hyps]
+
+
+def beam_outputs(
+    model: TransformerModel, data: TaskData, split: str, cfg: BeamConfig
+) -> list[tuple[str, ...]]:
+    """Target tokens of the best beam hypothesis for every source of a split."""
+    sources = [data.src_vocab.encode(src) for src, _ in getattr(data, split)]
+    hyps = [beam_decode(model, src, cfg)[0] for src in sources]
     return [data.tgt_vocab.decode(h.surface(), strip_special=False) for h in hyps]
 
 

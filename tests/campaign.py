@@ -3,32 +3,44 @@
 Twelve desk-scale runs (temperatures {1, 2, 3, 5} x three seeds) on the
 noisy copy task, each one `run_experiment` of `CONFIG`. Runs are
 deterministic, so finished results are cached on disk keyed by the campaign
-fingerprint; delete the cache directory to force retraining.
+fingerprint; delete the cache directory to force retraining. The key covers
+only the configuration, so after a code change run
+
+    PYTHONPATH=src python3 tests/campaign.py --check
+
+to recompute every cached run's decoding, entropy and gradient-norm fields
+from its cached model and report any that is not bit-equal.
 """
 
+# temperlab before numpy: importing it pins the BLAS threads, which only
+# works before numpy loads (README, Reproducibility)
+import temperlab  # noqa: F401
+
+import argparse
 import dataclasses
 import hashlib
 import json
 import os
 import shutil
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from temperlab.decoding import BeamConfig, beam_decode
+from temperlab.decoding import BeamConfig
 from temperlab.experiments import (
     BeamGridConfig,
     ExperimentConfig,
     SeedConfig,
+    build_task_data,
     entropy_probe,
     run_experiment,
-    test_greedy_outputs,
 )
 from temperlab.metrics import corpus_bleu, output_similarity_bleu
 from temperlab.model import load_checkpoint
-from temperlab.training import TrainerConfig
+from temperlab.training import TrainerConfig, beam_outputs, greedy_outputs
 
 CAMPAIGN_VERSION = 2
 TEMPERATURES = (1.0, 2.0, 3.0, 5.0)
@@ -82,6 +94,23 @@ class CampaignRun:
     model_path: str
 
 
+def _measure(model, data, temperature: float, grad_norms: list) -> dict:
+    """The cached fields that follow from a run's decode model and its
+    recorded gradient norms."""
+    refs = [t for _, t in data.test]
+    greedy = greedy_outputs(model, data, "test")
+    beam = beam_outputs(model, data, "test", BEAM4)
+    tempered_h, raw_h = entropy_probe(model, data, temperature, split="dev")
+    return dict(
+        test_greedy_bleu=corpus_bleu(greedy, refs),
+        test_beam4_bleu=corpus_bleu(beam, refs),
+        similarity_bleu=output_similarity_bleu(greedy, beam),
+        tempered_entropy=tempered_h,
+        raw_entropy=raw_h,
+        tail_grad_norm=float(np.mean(grad_norms[len(grad_norms) * 3 // 4 :])),
+    )
+
+
 def _run_one(temperature: float, seed: int, out: Path) -> CampaignRun:
     cfg = dataclasses.replace(CONFIG, seeds=SeedConfig(model=100 + seed, train=200 + seed))
     t0 = time.perf_counter()
@@ -89,13 +118,6 @@ def _run_one(temperature: float, seed: int, out: Path) -> CampaignRun:
     train_wall_s = time.perf_counter() - t0
     shutil.rmtree(Path(run.run_dir) / "checkpoints")  # the cache keeps only the average
 
-    data = run.data
-    refs = [t for _, t in data.test]
-    greedy = test_greedy_outputs(run)
-    sources = [data.src_vocab.encode(s) for s, _ in data.test]
-    beam = [beam_decode(run.decode_model, src, BEAM4)[0] for src in sources]
-    beam = [data.tgt_vocab.decode(h.surface(), strip_special=False) for h in beam]
-    tempered_h, raw_h = entropy_probe(run.decode_model, data, temperature, split="dev")
     grad_norms = [s.grad_norm for s in run.record.steps]
     return CampaignRun(
         temperature=temperature,
@@ -103,14 +125,9 @@ def _run_one(temperature: float, seed: int, out: Path) -> CampaignRun:
         steps=run.steps_trained,
         train_wall_s=train_wall_s,
         dev_bleu=run.dev_bleu,
-        test_greedy_bleu=corpus_bleu(greedy, refs),
-        test_beam4_bleu=corpus_bleu(beam, refs),
-        similarity_bleu=output_similarity_bleu(greedy, beam),
-        tempered_entropy=tempered_h,
-        raw_entropy=raw_h,
-        tail_grad_norm=float(np.mean(grad_norms[len(grad_norms) * 3 // 4 :])),
         grad_norms=grad_norms,
         model_path=str(Path(run.run_dir) / "average.npz"),
+        **_measure(run.decode_model, run.data, temperature, grad_norms),
     )
 
 
@@ -145,5 +162,29 @@ def load_campaign_model(run: CampaignRun):
     return model
 
 
+def check_campaign() -> int:
+    """Recompute the measured fields of every cached run; 0 when all are
+    bit-equal to the cache."""
+    data, _ = build_task_data(CONFIG)
+    paths = sorted(cache_dir().glob("run_T*_s*.json"))
+    bad = 0
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            run = CampaignRun(**json.load(fh))
+        fresh = _measure(load_campaign_model(run), data, run.temperature, run.grad_norms)
+        diffs = [
+            f"{k} {getattr(run, k)!r} -> {v!r}" for k, v in fresh.items() if getattr(run, k) != v
+        ]
+        bad += bool(diffs)
+        print(f"{path.name}: {'; '.join(diffs) if diffs else 'bit-identical'}", flush=True)
+    if not paths:
+        print(f"no cached runs under {cache_dir()}")
+    return 0 if paths and not bad else 1
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="build (or check) the acceptance campaign cache")
+    parser.add_argument("--check", action="store_true", help="recompute cached runs and compare")
+    if parser.parse_args().check:
+        sys.exit(check_campaign())
     run_campaign(verbose=True)

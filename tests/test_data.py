@@ -15,11 +15,8 @@ from temperlab.data import (
     encode_pairs,
     generate_multilingual_corpus,
     generate_synthetic_corpus,
-    load_parallel,
     make_batches,
     pad_batch,
-    prepend_target_tag,
-    save_parallel,
     transduce,
 )
 from temperlab.errors import ConfigError, ContractError, DataError
@@ -170,21 +167,6 @@ def test_infeasible_disjointness_raises():
 # tagging / multilingual
 
 
-def test_prepend_target_tag():
-    vocab = build_vocabulary([(("a", "b"), ("a",))], "source", tags=("<2rev>",))
-    pair = (("a", "b"), ("b", "a"))
-    tagged = prepend_target_tag(pair, "<2rev>", vocab)
-    assert tagged == (("<2rev>", "a", "b"), ("b", "a"))
-    twice = prepend_target_tag(tagged, "<2rev>", vocab)
-    assert twice[0][:2] == ("<2rev>", "<2rev>")  # deliberately not idempotent
-
-
-def test_prepend_unregistered_tag_rejected():
-    vocab = build_vocabulary([(("a",), ("a",))], "source")
-    with pytest.raises(ConfigError):
-        prepend_target_tag((("a",), ("a",)), "<2xyz>", vocab)
-
-
 def test_multilingual_counts_and_shared_sources():
     base = SyntheticTaskSpec(kind="copy", noise_rate=0.0, **SMALL_SPEC)
     corpus, tags = generate_multilingual_corpus(base)
@@ -291,26 +273,6 @@ def test_batching_multiset_property(batch_size, seed):
     encoded = make_encoded(rng, n=23)
     batches = make_batches(encoded, batch_size, seed=seed)
     assert sum(b.source.shape[0] for b in batches) == 23
-
-
-# ---------------------------------------------------------------------------
-# corpus files
-
-
-def test_parallel_file_roundtrip(tmp_path):
-    corpus = generate_synthetic_corpus(
-        SyntheticTaskSpec(kind="reverse", noise_rate=0.1, **SMALL_SPEC)
-    )
-    sp, tp = tmp_path / "src.txt", tmp_path / "tgt.txt"
-    save_parallel(corpus.train, sp, tp)
-    assert load_parallel(sp, tp) == corpus.train
-
-
-def test_parallel_file_length_mismatch(tmp_path):
-    (tmp_path / "a.txt").write_text("x y\nz\n")
-    (tmp_path / "b.txt").write_text("x y\n")
-    with pytest.raises(DataError):
-        load_parallel(tmp_path / "a.txt", tmp_path / "b.txt")
 
 
 def test_encode_pairs_shapes(rng):

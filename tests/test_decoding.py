@@ -237,9 +237,8 @@ def test_batched_greedy_equals_sequential(trained_copy):
 def test_decode_corpus_modes_and_timings():
     model = TableModel(random_table(6))
     sources = [[4], [5], [4, 5]]
-    hyps, timings = decode_corpus(model, sources, "greedy", BeamConfig(1, 0.0, 6))
-    assert len(hyps) == len(timings) == 3
-    assert all(t.wall_ns > 0 for t in timings)
-    assert all(t.length == len(h.surface()) for h, t in zip(hyps, timings))
+    hyps, wall_ns = decode_corpus(model, sources, "greedy", BeamConfig(1, 0.0, 6))
+    assert len(hyps) == len(wall_ns) == 3
+    assert all(ns > 0 for ns in wall_ns)
     with pytest.raises(ContractError):
         decode_corpus(model, sources, "sampled", BeamConfig(1, 0.0, 6))

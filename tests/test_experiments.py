@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from temperlab.cli import main
+from temperlab.data import build_vocabulary, generate_synthetic_corpus
 from temperlab.errors import ConfigError
 from temperlab.experiments import (
     apply_overrides,
@@ -18,8 +19,9 @@ from temperlab.experiments import (
     run_sweep,
     time_decoding,
 )
-from temperlab.model import load_checkpoint
+from temperlab.model import init_parameters, load_checkpoint, save_checkpoint
 from temperlab.training import ExperimentRecord
+from tests.test_model import shrink_parameter
 
 MICRO = {
     "task": {
@@ -114,6 +116,17 @@ def test_load_config_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_load_config_defaults_and_overrides(tmp_path):
+    assert load_config() == default_config()
+    cfg = load_config(None, ["tempering.temperature=3.0"])
+    assert cfg.tempering.temperature == 3.0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(MICRO))
+    assert load_config(path, ["trainer.max_steps=7"]) == micro_config(
+        trainer={**MICRO["trainer"], "max_steps": 7}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +313,12 @@ def test_cli_exit_code_for_numeric_abort(tmp_path, capsys, monkeypatch):
 def test_cli_no_dropout_flag(tmp_path):
     cfg_path = write_micro_config(tmp_path)
     out = tmp_path / "run-nd"
-    code = main(["train", "--config", str(cfg_path), "--out", str(out), "--no-dropout"])
+    code = main(
+        [
+            "train", "--config", str(cfg_path), "--out", str(out),
+            "--set", "model.layer_dropout=0.3", "--no-dropout",
+        ]
+    )
     assert code == 0
     with open(out / "config.json", encoding="utf-8") as fh:
         stored = json.load(fh)["config"]
@@ -341,24 +359,51 @@ def test_cli_decode_roundtrip(tmp_path, capsys):
     assert all({"score", "log_prob", "length", "wall_ns"} <= set(row) for row in sidecar)
 
 
+def decode_args(tmp_path, text: str) -> list[str]:
+    """`decode` arguments for an untrained MICRO model, its vocabularies and
+    an input file holding `text`."""
+    cfg = micro_config()
+    corpus = generate_synthetic_corpus(cfg.task)
+    src_vocab = build_vocabulary(corpus.train, "source")
+    tgt_vocab = build_vocabulary(corpus.train, "target")
+    model = init_parameters(cfg.model.with_vocabs(len(src_vocab), len(tgt_vocab)), seed=0)
+    save_checkpoint(tmp_path / "model.npz", model, step=0)
+    src_vocab.save(tmp_path / "src_vocab.txt")
+    tgt_vocab.save(tmp_path / "tgt_vocab.txt")
+    (tmp_path / "input.txt").write_text(text)
+    return [
+        "decode",
+        "--checkpoint", str(tmp_path / "model.npz"),
+        "--src-vocab", str(tmp_path / "src_vocab.txt"),
+        "--tgt-vocab", str(tmp_path / "tgt_vocab.txt"),
+        "--input", str(tmp_path / "input.txt"),
+        "--output", str(tmp_path / "hyp.txt"),
+    ]
+
+
 def test_cli_decode_empty_input_is_data_error(tmp_path, capsys):
-    cfg_path = write_micro_config(tmp_path)
-    out = tmp_path / "run"
-    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
-    empty = tmp_path / "empty.txt"
-    empty.write_text("")
-    code = main(
-        [
-            "decode",
-            "--checkpoint", str(out / "average.npz"),
-            "--src-vocab", str(out / "src_vocab.txt"),
-            "--tgt-vocab", str(out / "tgt_vocab.txt"),
-            "--input", str(empty),
-            "--output", str(tmp_path / "hyp.txt"),
-        ]
-    )
+    code = main(decode_args(tmp_path, ""))
     assert code == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_cli_decode_wrong_shape_checkpoint_is_data_error(tmp_path, capsys):
+    args = decode_args(tmp_path, "a b\n")
+    shrink_parameter(tmp_path / "model.npz", "dec0.cross.bq")
+    assert main(args) == 3
+    assert "dec0.cross.bq" in capsys.readouterr().err
+
+
+def test_cli_decode_checks_lengths_before_decoding(tmp_path, capsys, monkeypatch):
+    import temperlab.cli as cli
+
+    monkeypatch.setattr(cli, "decode_corpus", lambda *a, **k: pytest.fail("decoded before checks"))
+    # MICRO's max_positions is 10: sources up to 10 tokens, --max-length up to 9
+    too_long = " ".join(["a"] * 11)
+    assert main(decode_args(tmp_path, f"a b\n{too_long}\n") + ["--max-length", "8"]) == 3
+    assert "input line 2 has 11 tokens" in capsys.readouterr().err
+    assert main(decode_args(tmp_path, "a b\n") + ["--max-length", "10"]) == 2
+    assert "--max-length 10" in capsys.readouterr().err
 
 
 def test_cli_sweep_analyze_report_pipeline(tmp_path, capsys):

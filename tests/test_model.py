@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -284,9 +282,17 @@ def test_checkpoint_rs_mode_roundtrip(tmp_path):
     assert parameter_count(loaded) == parameter_count(model)
 
 
-def test_presets_are_dataclass_compatible():
-    from temperlab.model import BASE_PRESET, BIG_PRESET
+def shrink_parameter(path, name):
+    """Rewrite a checkpoint with the first axis of one parameter one shorter."""
+    with np.load(path) as zf:
+        payload = dict(zf)
+    payload[name] = payload[name][:-1]
+    np.savez(path, **payload)
 
-    for preset in (BASE_PRESET, BIG_PRESET):
-        cfg = dataclasses.replace(ModelConfig(source_vocab=8, target_vocab=8), **preset)
-        assert cfg.model_dim % cfg.num_heads == 0
+
+def test_checkpoint_with_wrong_shape_is_data_error(tmp_path):
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, small_model(seed=8), step=1)
+    shrink_parameter(path, "dec0.cross.bq")
+    with pytest.raises(DataError, match="dec0.cross.bq"):
+        load_checkpoint(path)

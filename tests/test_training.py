@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +254,28 @@ def test_training_is_bit_reproducible():
     bleus1 = [e.dev_bleu for e in res1.record.evals]
     bleus2 = [e.dev_bleu for e in res2.record.evals]
     assert bleus1 == bleus2
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "imports, threads, warns",
+    [("numpy, temperlab", None, True), ("temperlab, numpy", None, False), ("numpy, temperlab", "1", False)],
+)
+def test_thread_pin_warns_when_numpy_came_first(imports, threads, warns):
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(dict.fromkeys(THREAD_VARS, threads) if threads else {})
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", f"import {imports}"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode != 0) == warns, proc.stderr
+    if warns:
+        assert "README, Reproducibility" in proc.stderr
 
 
 def test_record_structure_and_monotone_steps():
