@@ -2,7 +2,8 @@
 
 Configuration comes from a single JSON file (desk-scale defaults when
 omitted) with dotted-key overrides via --set; exit codes are 0 on success,
-2 for configuration errors, 3 for data errors, and 4 for numeric aborts.
+2 for configuration errors (an unreadable config file included), 3 for
+data errors (any other unreadable file included), and 4 for numeric aborts.
 """
 
 from __future__ import annotations
@@ -47,11 +48,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
-    report = run_sweep(cfg, out_dir=args.out or cfg.output_dir)
+    report = run_sweep(cfg, args.out or cfg.output_dir)
     for row in report.rows:
         if row.status == "ok":
             print(
-                f"T={row.temperature:<5g} dev {row.dev_bleu:6.2f}  "
+                f"T={row.temperature:<5g} dev {row.dev_greedy_bleu:6.2f}  "
                 f"test greedy {row.test_greedy_bleu:6.2f}  "
                 f"oracle beam {row.oracle_beam_bleu:6.2f} "
                 f"(beam {row.oracle_beam_size}, alpha {row.oracle_alpha})"
@@ -85,11 +86,11 @@ def _cmd_decode(args) -> int:
     for number, src in enumerate(sources, start=1):
         if len(src) > limit:
             raise DataError(f"input line {number} has {len(src)} tokens; max_positions is {limit}")
-    mode = "greedy" if args.beam_size == 1 and args.alpha == 0.0 else "beam"
-    hyps, wall_ns = decode_corpus(model, sources, mode, beam_cfg)
-    out_tokens = [tgt_vocab.decode(h.surface(), strip_special=False) for h in hyps]
+    hyps, wall_ns = decode_corpus(model, sources, beam_cfg)
+    out_tokens = [tgt_vocab.decode(h.surface()) for h in hyps]
     write_hypotheses(args.output, out_tokens)
     write_sidecar(str(args.output) + ".meta.jsonl", hyps, wall_ns)
+    mode = "greedy" if beam_cfg.greedy else "beam"
     print(f"decoded {len(hyps)} sentences ({mode}) to {args.output}")
     return 0
 
@@ -181,6 +182,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # an unreadable or unwritable file
+        print(f"data error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

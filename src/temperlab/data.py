@@ -66,14 +66,8 @@ class Vocabulary:
     def encode(self, tokens) -> Array:
         return np.asarray([self.id_of(t) for t in tokens], dtype=np.int64)
 
-    def decode(self, ids, strip_special: bool = True) -> tuple[str, ...]:
-        out = []
-        for i in ids:
-            i = int(i)
-            if strip_special and i in (PAD_ID, BOS_ID, EOS_ID):
-                continue
-            out.append(self.token_of(i))
-        return tuple(out)
+    def decode(self, ids) -> tuple[str, ...]:
+        return tuple(self.token_of(int(i)) for i in ids)
 
     def save(self, path) -> None:
         """One non-reserved token per line; line number = id - 4."""
@@ -194,7 +188,6 @@ def _make_pairs(
     rng: np.random.Generator,
     spec: SyntheticTaskSpec,
     count: int,
-    kind: str,
     forbidden: set[tuple[int, ...]] | None,
 ) -> tuple[list[tuple[tuple[int, ...], list[int]]], set[tuple[int, ...]]]:
     pairs = []
@@ -212,7 +205,7 @@ def _make_pairs(
                         "the task space is too small for the requested corpus sizes"
                     )
             sources.add(src)
-        tgt = transduce(kind, list(src), spec.alphabet_size)
+        tgt = transduce(spec.kind, list(src), spec.alphabet_size)
         tgt = _apply_noise(tgt, spec.noise_rate, rng, spec.alphabet_size)
         pairs.append((src, tgt))
     return pairs, sources
@@ -226,12 +219,10 @@ def generate_synthetic_corpus(spec: SyntheticTaskSpec) -> ParallelCorpus:
     train_ss, dev_ss, test_ss = np.random.SeedSequence(spec.seed).spawn(3)
     n_train, n_dev, n_test = spec.corpus_sizes
 
-    train, _ = _make_pairs(np.random.default_rng(train_ss), spec, n_train, spec.kind, None)
+    train, _ = _make_pairs(np.random.default_rng(train_ss), spec, n_train, None)
     train_sources = {src for src, _ in train}
-    dev, dev_sources = _make_pairs(np.random.default_rng(dev_ss), spec, n_dev, spec.kind, train_sources)
-    test, _ = _make_pairs(
-        np.random.default_rng(test_ss), spec, n_test, spec.kind, train_sources | dev_sources
-    )
+    dev, dev_sources = _make_pairs(np.random.default_rng(dev_ss), spec, n_dev, train_sources)
+    test, _ = _make_pairs(np.random.default_rng(test_ss), spec, n_test, train_sources | dev_sources)
 
     def to_tokens(int_pairs) -> list[Pair]:
         return [
@@ -253,18 +244,13 @@ MULTILINGUAL_TAGS = {
 }
 
 
-def generate_multilingual_corpus(
-    base: SyntheticTaskSpec, kinds: tuple[str, ...] = TASK_KINDS
-) -> tuple[ParallelCorpus, tuple[str, ...]]:
-    """One-to-many corpus: a shared source set appears once per transduction,
-    each copy prefixed with that transduction's tag token.
+def generate_multilingual_corpus(base: SyntheticTaskSpec) -> tuple[ParallelCorpus, tuple[str, ...]]:
+    """One-to-many corpus: a shared source set appears once per transduction
+    of `TASK_KINDS`, each copy prefixed with that transduction's tag token.
 
     Returns the corpus and the tag tokens that must be registered in the
     source vocabulary.
     """
-    for kind in kinds:
-        if kind not in TASK_KINDS:
-            raise ConfigError(f"unknown task kind {kind!r}")
     shared = generate_synthetic_corpus(
         SyntheticTaskSpec(
             kind="copy",
@@ -278,10 +264,10 @@ def generate_multilingual_corpus(
     noise_rng = np.random.default_rng(np.random.SeedSequence((base.seed, 9173)))
     width_tokens = {_token_name(i, base.alphabet_size): i for i in range(base.alphabet_size)}
     out = ParallelCorpus()
-    tags = tuple(MULTILINGUAL_TAGS[k] for k in kinds)
+    tags = tuple(MULTILINGUAL_TAGS[k] for k in TASK_KINDS)
     for split_name, pairs in shared.splits().items():
         bucket = getattr(out, split_name)
-        for kind, tag in zip(kinds, tags):
+        for kind, tag in zip(TASK_KINDS, tags):
             for src_tokens, _ in pairs:
                 src_ids = [width_tokens[t] for t in src_tokens]
                 tgt_ids = transduce(kind, src_ids, base.alphabet_size)

@@ -39,6 +39,11 @@ class BeamConfig:
         if self.max_length < 1:
             raise ConfigError(f"max_length must be at least 1, got {self.max_length}")
 
+    @property
+    def greedy(self) -> bool:
+        """Beam size 1 with no length penalty is argmax decoding."""
+        return self.beam_size == 1 and self.length_penalty_alpha == 0.0
+
 
 @dataclass
 class Hypothesis:
@@ -189,25 +194,15 @@ def greedy_decode_batch(model, sources: list[Array], max_length: int) -> list[Hy
     return out
 
 
-def decode_corpus(
-    model,
-    sources: list[Array],
-    mode: str,
-    beam_cfg: BeamConfig,
-) -> tuple[list[Hypothesis], list[int]]:
-    """Decode one sentence at a time; returns the hypotheses and each
-    sentence's wall time in nanoseconds.
-
-    `mode` is "greedy" or "beam"; greedy ignores the beam size and penalty
-    but honours max_length.
-    """
-    if mode not in ("greedy", "beam"):
-        raise ContractError(f"unknown decode mode {mode!r}")
+def decode_corpus(model, sources: list[Array], beam_cfg: BeamConfig) -> tuple[list[Hypothesis], list[int]]:
+    """Decode one sentence at a time, greedily when `beam_cfg.greedy`, else
+    with beam search; returns the hypotheses and each sentence's wall time
+    in nanoseconds."""
     hyps: list[Hypothesis] = []
     wall_ns: list[int] = []
     for src in sources:
         t0 = time.perf_counter_ns()
-        if mode == "greedy":
+        if beam_cfg.greedy:
             hyp = greedy_decode(model, src, beam_cfg.max_length)
         else:
             hyp = beam_decode(model, src, beam_cfg)[0]

@@ -22,8 +22,10 @@ import numpy as np
 from .data import (
     SyntheticTaskSpec,
     build_vocabulary,
+    encode_pairs,
     generate_multilingual_corpus,
     generate_synthetic_corpus,
+    make_batches,
 )
 from .decoding import BeamConfig, decode_corpus
 from .errors import ConfigError, TemperlabError
@@ -38,6 +40,7 @@ from .training import (
     evaluate_checkpoint,
     greedy_outputs,
     model_from_checkpoint,
+    tail_grad_norm,
     train,
 )
 
@@ -132,11 +135,13 @@ def load_config(path=None, overrides=()) -> ExperimentConfig:
     if path is None:
         raw = config_to_dict(default_config())
     else:
-        with open(path, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(apply_overrides(raw, overrides))
 
 
@@ -174,7 +179,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # building the task
 
 
-def build_task_data(cfg: ExperimentConfig) -> tuple[TaskData, tuple[str, ...]]:
+def build_task_data(cfg: ExperimentConfig) -> TaskData:
     if cfg.multilingual:
         corpus, tags = generate_multilingual_corpus(cfg.task)
     else:
@@ -197,7 +202,7 @@ def build_task_data(cfg: ExperimentConfig) -> tuple[TaskData, tuple[str, ...]]:
             f"max_positions {cfg.model.max_positions} is too small for sequences "
             f"of length {needed}; raise model.max_positions"
         )
-    return data, tags
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +225,7 @@ def run_experiment(cfg: ExperimentConfig, temperature: float, run_dir) -> RunRes
     and persist the run artifacts. Test data is not touched here."""
     run_dir = Path(run_dir)
     (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
-    data, _tags = build_task_data(cfg)
+    data = build_task_data(cfg)
     mcfg = cfg.model.with_vocabs(len(data.src_vocab), len(data.tgt_vocab))
     model = init_parameters(mcfg, cfg.seeds.model)
     trainer = dataclasses.replace(cfg.trainer, seed=cfg.seeds.train)
@@ -235,26 +240,18 @@ def run_experiment(cfg: ExperimentConfig, temperature: float, run_dir) -> RunRes
     save_checkpoint(run_dir / "average.npz", decode_model, result.record.steps[-1].step)
     data.src_vocab.save(run_dir / "src_vocab.txt")
     data.tgt_vocab.save(run_dir / "tgt_vocab.txt")
-    h = config_hash(cfg)
-    with open(run_dir / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {"config": config_to_dict(cfg), "temperature": temperature, "config_hash": h},
-            fh,
-            indent=2,
-        )
-    with open(run_dir / "result.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "metric": "dev_greedy_bleu",
-                "value": dev_bleu,
-                "n_sentences": len(data.dev),
-                "temperature": temperature,
-                "steps_trained": result.record.steps[-1].step,
-                "config_hash": h,
-            },
-            fh,
-            indent=2,
-        )
+    _write_json(run_dir / "config.json", cfg, {"config": config_to_dict(cfg), "temperature": temperature})
+    _write_json(
+        run_dir / "result.json",
+        cfg,
+        {
+            "metric": "dev_greedy_bleu",
+            "value": dev_bleu,
+            "n_sentences": len(data.dev),
+            "temperature": temperature,
+            "steps_trained": result.record.steps[-1].step,
+        },
+    )
     return RunResult(
         temperature=temperature,
         dev_bleu=dev_bleu,
@@ -292,6 +289,12 @@ def write_sidecar(path, hyps, wall_ns: list[int]) -> None:
             )
 
 
+def _write_json(path, cfg: ExperimentConfig, payload: dict) -> None:
+    """`payload` with the config's hash as its last key, indented."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({**payload, "config_hash": config_hash(cfg)}, fh, indent=2)
+
+
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -307,7 +310,7 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
 class SweepRow:
     temperature: float
     status: str
-    dev_bleu: float | None = None
+    dev_greedy_bleu: float | None = None
     test_greedy_bleu: float | None = None
     oracle_beam_bleu: float | None = None
     oracle_beam_size: int | None = None
@@ -342,29 +345,27 @@ def oracle_beam_search(run: RunResult, grid: BeamGridConfig) -> tuple[float, int
     return best
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir=None) -> SweepReport:
+def run_sweep(cfg: ExperimentConfig, out_dir) -> SweepReport:
     """Train one model per temperature, pick the best on dev greedy BLEU,
     then evaluate test greedy and the oracle beam grid for every
     temperature. Selection happens strictly before any test decoding."""
     if not cfg.temperatures:
         raise ConfigError("sweep needs at least one temperature")
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    h = config_hash(cfg)
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump({"config": config_to_dict(cfg), "config_hash": h}, fh, indent=2)
+    _write_json(out / "config.json", cfg, {"config": config_to_dict(cfg)})
 
     runs: dict[float, RunResult] = {}
     rows: list[SweepRow] = []
     for t in cfg.temperatures:
         try:
             runs[t] = run_experiment(cfg, t, out / "runs" / _format_t(t))
-            rows.append(SweepRow(temperature=t, status="ok", dev_bleu=runs[t].dev_bleu))
+            rows.append(SweepRow(temperature=t, status="ok", dev_greedy_bleu=runs[t].dev_bleu))
         except TemperlabError as exc:
             rows.append(SweepRow(temperature=t, status=f"failed: {exc}"))
 
     ok_rows = [r for r in rows if r.status == "ok"]
-    t_opt = max(ok_rows, key=lambda r: r.dev_bleu).temperature if ok_rows else None
+    t_opt = max(ok_rows, key=lambda r: r.dev_greedy_bleu).temperature if ok_rows else None
 
     # test decoding strictly after dev-based selection
     greedy_outputs: dict[float, list] = {}
@@ -386,51 +387,27 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> SweepReport:
         boot = paired_bootstrap(
             greedy_outputs[t_opt], greedy_outputs[1.0], refs, resamples=1000, seed=0
         )
-        with open(out / "significance.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "metric": "paired_bootstrap_greedy_t_opt_vs_baseline",
-                    "value": boot.p_value,
-                    "bleu_t_opt": boot.bleu_a,
-                    "bleu_baseline": boot.bleu_b,
-                    "p_value": boot.p_value,
-                    "tie_fraction": boot.tie_fraction,
-                    "resamples": boot.resamples,
-                    "seed": boot.seed,
-                    "n_sentences": len(refs),
-                    "config_hash": h,
-                },
-                fh,
-                indent=2,
-            )
+        _write_json(
+            out / "significance.json",
+            cfg,
+            {
+                "metric": "paired_bootstrap_greedy_t_opt_vs_baseline",
+                "value": boot.p_value,
+                "bleu_t_opt": boot.bleu_a,
+                "bleu_baseline": boot.bleu_b,
+                "p_value": boot.p_value,
+                "tie_fraction": boot.tie_fraction,
+                "resamples": boot.resamples,
+                "seed": boot.seed,
+                "n_sentences": len(refs),
+            },
+        )
 
+    h = config_hash(cfg)
     _write_csv(
         out / "sweep.csv",
-        [
-            "temperature",
-            "status",
-            "dev_greedy_bleu",
-            "test_greedy_bleu",
-            "oracle_beam_bleu",
-            "oracle_beam_size",
-            "oracle_alpha",
-            "is_t_opt",
-            "config_hash",
-        ],
-        [
-            [
-                r.temperature,
-                r.status,
-                r.dev_bleu,
-                r.test_greedy_bleu,
-                r.oracle_beam_bleu,
-                r.oracle_beam_size,
-                r.oracle_alpha,
-                int(r.temperature == t_opt),
-                h,
-            ]
-            for r in rows
-        ],
+        [f.name for f in dataclasses.fields(SweepRow)] + ["is_t_opt", "config_hash"],
+        [[*dataclasses.astuple(r), int(r.temperature == t_opt), h] for r in rows],
     )
     _write_csv(
         out / "curve.csv",
@@ -448,14 +425,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> SweepReport:
 # analysis
 
 
-def entropy_probe(model, data: TaskData, temperature: float, split: str = "dev", batch_size: int = 64) -> tuple[float, float]:
-    """Evaluation-mode teacher-forced entropies on a held-out split:
-    (tempered view, raw view), token-weighted means."""
-    from .data import encode_pairs, make_batches
-
-    pairs = getattr(data, split)
-    encoded = encode_pairs(pairs, data.src_vocab, data.tgt_vocab)
-    batches = make_batches(encoded, batch_size, seed=0)
+def entropy_probe(model, data: TaskData, temperature: float) -> tuple[float, float]:
+    """Evaluation-mode teacher-forced entropies on the dev split, in batches
+    of 64: (tempered view, raw view), token-weighted means."""
+    encoded = encode_pairs(data.dev, data.src_vocab, data.tgt_vocab)
+    batches = make_batches(encoded, 64, seed=0)
     tempered_sum = raw_sum = total = 0.0
     for b in batches:
         logits = model.forward_teacher_forced(b.source, b.target_in, train=False)
@@ -467,43 +441,30 @@ def entropy_probe(model, data: TaskData, temperature: float, split: str = "dev",
     return tempered_sum / total, raw_sum / total
 
 
-def time_decoding(
-    model,
-    sources: list[Array],
-    max_length: int,
-    beam_sizes: tuple[int, ...] = (4, 10),
-    alpha: float = 1.0,
-    passes: int = 3,
-    warmup: int = 5,
-) -> list[dict]:
-    """Wall-clock comparison of greedy vs beam decoding, one sentence at a
-    time, median over `passes` passes after a short warmup."""
-    modes: list[tuple[str, BeamConfig]] = [
-        ("greedy", BeamConfig(beam_size=1, length_penalty_alpha=0.0, max_length=max_length))
-    ]
-    for b in beam_sizes:
-        modes.append((f"beam{b}", BeamConfig(beam_size=b, length_penalty_alpha=alpha, max_length=max_length)))
-
-    for src in sources[:warmup]:  # warm caches and code paths
-        decode_corpus(model, [src], "greedy", modes[0][1])
+def time_decoding(model, sources: list[Array], max_length: int) -> list[dict]:
+    """Wall-clock comparison of greedy vs beam-4 and beam-10 decoding (alpha
+    1), one sentence at a time, median over 3 passes after decoding the
+    first 5 sentences greedily as a warmup."""
+    configs = [BeamConfig(b, alpha, max_length) for b, alpha in ((1, 0.0), (4, 1.0), (10, 1.0))]
+    for src in sources[:5]:  # warm caches and code paths
+        decode_corpus(model, [src], configs[0])
 
     results = []
     greedy_median = None
-    for name, bc in modes:
-        mode = "greedy" if name == "greedy" else "beam"
+    for bc in configs:
         totals = []
-        for _ in range(passes):
+        for _ in range(3):
             t0 = time.perf_counter()
-            decode_corpus(model, sources, mode, bc)
+            decode_corpus(model, sources, bc)
             totals.append(time.perf_counter() - t0)
         med = statistics.median(totals)
-        if name == "greedy":
+        if bc.greedy:
             greedy_median = med
         results.append(
             {
-                "mode": name,
-                "beam_size": bc.beam_size if mode == "beam" else 1,
-                "alpha": bc.length_penalty_alpha if mode == "beam" else 0.0,
+                "mode": "greedy" if bc.greedy else f"beam{bc.beam_size}",
+                "beam_size": bc.beam_size,
+                "alpha": bc.length_penalty_alpha,
                 "median_wall_s": med,
                 "slowdown_vs_greedy": med / greedy_median if greedy_median else None,
             }
@@ -566,8 +527,7 @@ def run_analysis(run_dirs: list, out_dir, with_timing: bool = True, with_similar
 
     for rd, meta, record in loaded:
         if record.steps:
-            tail = record.steps[len(record.steps) * 3 // 4 :]
-            mean_norm = float(np.mean([s.grad_norm for s in tail]))
+            mean_norm = tail_grad_norm([s.grad_norm for s in record.steps])
             summary.append(
                 f"T={meta['temperature']:g}: final-quarter mean grad norm {mean_norm:.4f}, "
                 f"final raw-view entropy {record.steps[-1].raw_entropy:.4f} nats"
@@ -579,7 +539,7 @@ def run_analysis(run_dirs: list, out_dir, with_timing: bool = True, with_similar
             try:
                 mdl, _step = load_checkpoint(rd / "average.npz")
                 cfg = config_from_dict(meta["config"])
-                data, _ = build_task_data(cfg)
+                data = build_task_data(cfg)
                 models[rd] = (mdl, data, meta)
             except (OSError, KeyError, TemperlabError) as exc:
                 gaps.append(f"run {rd}: cannot rebuild decode model ({exc})")

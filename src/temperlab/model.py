@@ -329,7 +329,10 @@ def load_checkpoint(path) -> tuple[TransformerModel, int]:
     """Inverse of `save_checkpoint`; the arrays must match the names and
     shapes of the stored configuration's `parameter_layout`."""
     with np.load(path, allow_pickle=False) as zf:
-        config = ModelConfig(**json.loads(str(zf["__config__"])))
+        try:
+            config = ModelConfig(**json.loads(str(zf["__config__"])))
+        except (TypeError, json.JSONDecodeError, ConfigError) as exc:
+            raise DataError(f"checkpoint {path} has a malformed configuration: {exc}") from exc
         step = int(zf["__step__"])
         arrays = {name: zf[name] for name in zf.files if name not in ("__config__", "__step__")}
     expected = {name: shape for name, shape, _ in parameter_layout(config)}

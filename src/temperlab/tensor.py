@@ -42,11 +42,6 @@ class Tensor:
         return self.array.shape
 
     @property
-    def data(self) -> Array:
-        """Row-major flat view of the underlying storage."""
-        return self.array.reshape(-1)
-
-    @property
     def size(self) -> int:
         return self.array.size
 

@@ -268,11 +268,16 @@ def train_step(
     return TransformerModel(model.config, new_params), record
 
 
+def tail_grad_norm(norms: list[float]) -> float:
+    """Mean gradient norm over the final quarter of training steps."""
+    return float(np.mean(norms[len(norms) * 3 // 4 :]))
+
+
 def greedy_outputs(model: TransformerModel, data: TaskData, split: str) -> list[tuple[str, ...]]:
     """Greedy target tokens for every source of a split; no temperature at decode time."""
     sources = [data.src_vocab.encode(src) for src, _ in getattr(data, split)]
     hyps = greedy_decode_batch(model, sources, data.decode_max_length)
-    return [data.tgt_vocab.decode(h.surface(), strip_special=False) for h in hyps]
+    return [data.tgt_vocab.decode(h.surface()) for h in hyps]
 
 
 def beam_outputs(
@@ -281,7 +286,7 @@ def beam_outputs(
     """Target tokens of the best beam hypothesis for every source of a split."""
     sources = [data.src_vocab.encode(src) for src, _ in getattr(data, split)]
     hyps = [beam_decode(model, src, cfg)[0] for src in sources]
-    return [data.tgt_vocab.decode(h.surface(), strip_special=False) for h in hyps]
+    return [data.tgt_vocab.decode(h.surface()) for h in hyps]
 
 
 def evaluate_checkpoint(model: TransformerModel, data: TaskData, split: str = "dev") -> float:

@@ -27,8 +27,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from temperlab.decoding import BeamConfig
 from temperlab.experiments import (
     BeamGridConfig,
@@ -40,7 +38,7 @@ from temperlab.experiments import (
 )
 from temperlab.metrics import corpus_bleu, output_similarity_bleu
 from temperlab.model import load_checkpoint
-from temperlab.training import TrainerConfig, beam_outputs, greedy_outputs
+from temperlab.training import TrainerConfig, beam_outputs, greedy_outputs, tail_grad_norm
 
 CAMPAIGN_VERSION = 2
 TEMPERATURES = (1.0, 2.0, 3.0, 5.0)
@@ -100,14 +98,14 @@ def _measure(model, data, temperature: float, grad_norms: list) -> dict:
     refs = [t for _, t in data.test]
     greedy = greedy_outputs(model, data, "test")
     beam = beam_outputs(model, data, "test", BEAM4)
-    tempered_h, raw_h = entropy_probe(model, data, temperature, split="dev")
+    tempered_h, raw_h = entropy_probe(model, data, temperature)
     return dict(
         test_greedy_bleu=corpus_bleu(greedy, refs),
         test_beam4_bleu=corpus_bleu(beam, refs),
         similarity_bleu=output_similarity_bleu(greedy, beam),
         tempered_entropy=tempered_h,
         raw_entropy=raw_h,
-        tail_grad_norm=float(np.mean(grad_norms[len(grad_norms) * 3 // 4 :])),
+        tail_grad_norm=tail_grad_norm(grad_norms),
     )
 
 
@@ -165,7 +163,7 @@ def load_campaign_model(run: CampaignRun):
 def check_campaign() -> int:
     """Recompute the measured fields of every cached run; 0 when all are
     bit-equal to the cache."""
-    data, _ = build_task_data(CONFIG)
+    data = build_task_data(CONFIG)
     paths = sorted(cache_dir().glob("run_T*_s*.json"))
     bad = 0
     for path in paths:

@@ -1,7 +1,6 @@
-import os
-
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+# temperlab before numpy: importing it pins the BLAS threads, which only
+# works before numpy loads (README, Reproducibility)
+import temperlab  # noqa: F401
 
 import numpy as np
 import pytest

@@ -35,6 +35,7 @@ from temperlab.training import (
     average_checkpoints,
     should_stop,
     snapshot,
+    tail_grad_norm,
     train,
 )
 
@@ -236,11 +237,7 @@ def test_criterion_07_gradient_norms(campaign_runs):
     hot = campaign_runs[(5.0, seed)]
     base = campaign_runs[(1.0, seed)]
 
-    def tail_mean(run):
-        norms = run.grad_norms
-        return float(np.mean(norms[len(norms) * 3 // 4 :]))
-
-    ratio = tail_mean(hot) / tail_mean(base)
+    ratio = tail_grad_norm(hot.grad_norms) / tail_grad_norm(base.grad_norms)
     report(
         7,
         "late-training gradient norms grow with temperature",
@@ -297,12 +294,10 @@ def test_criterion_10_decoding_speed(campaign_runs):
 
     run = campaign_runs[(1.0, campaign.SEEDS[0])]
     model = campaign.load_campaign_model(run)
-    data, _ = build_task_data(campaign.CONFIG)
+    data = build_task_data(campaign.CONFIG)
     sources = [data.src_vocab.encode(s) for s, _ in data.test]
     assert len(sources) == 200
-    rows = time_decoding(
-        model, sources, data.decode_max_length, beam_sizes=(4, 10), passes=3, warmup=5
-    )
+    rows = time_decoding(model, sources, data.decode_max_length)
     by_mode = {r["mode"]: r for r in rows}
     r4 = by_mode["beam4"]["slowdown_vs_greedy"]
     r10 = by_mode["beam10"]["slowdown_vs_greedy"]

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from temperlab.data import (
     BOS_ID,
     EOS_ID,
+    MULTILINGUAL_TAGS,
     NUM_RESERVED,
     PAD_ID,
+    TASK_KINDS,
     UNK_ID,
     SyntheticTaskSpec,
     Vocabulary,
@@ -185,13 +187,16 @@ def test_multilingual_counts_and_shared_sources():
 
 def test_multilingual_transductions_are_correct():
     base = SyntheticTaskSpec(kind="copy", noise_rate=0.0, **SMALL_SPEC)
-    corpus, tags = generate_multilingual_corpus(base, kinds=("copy", "reverse"))
+    corpus, tags = generate_multilingual_corpus(base)
+    kind_of = {tag: kind for kind, tag in MULTILINGUAL_TAGS.items()}
+    assert [kind_of[tag] for tag in tags] == list(TASK_KINDS)
+    seen = set()
     for src, tgt in corpus.dev:
-        body = src[1:]
-        if src[0] == "<2copy>":
-            assert tgt == body
-        else:
-            assert tgt == tuple(reversed(body))
+        kind = kind_of[src[0]]
+        ids = [int(tok[1:]) for tok in src[1:]]  # tokens are w00 .. w15
+        assert [int(tok[1:]) for tok in tgt] == transduce(kind, ids, base.alphabet_size)
+        seen.add(kind)
+    assert seen == set(TASK_KINDS)
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def test_greedy_recovers_copy_task(trained_copy):
     pairs = data.dev[:20]
     for src_tokens, tgt_tokens in pairs:
         hyp = greedy_decode(result.model, data.src_vocab.encode(src_tokens), data.decode_max_length)
-        out = data.tgt_vocab.decode(hyp.surface(), strip_special=False)
+        out = data.tgt_vocab.decode(hyp.surface())
         correct += out == tgt_tokens
     assert correct >= 19  # overfit copy model reproduces its input
 
@@ -237,8 +237,23 @@ def test_batched_greedy_equals_sequential(trained_copy):
 def test_decode_corpus_modes_and_timings():
     model = TableModel(random_table(6))
     sources = [[4], [5], [4, 5]]
-    hyps, wall_ns = decode_corpus(model, sources, "greedy", BeamConfig(1, 0.0, 6))
+    hyps, wall_ns = decode_corpus(model, sources, BeamConfig(1, 0.0, 6))
     assert len(hyps) == len(wall_ns) == 3
     assert all(ns > 0 for ns in wall_ns)
-    with pytest.raises(ContractError):
-        decode_corpus(model, sources, "sampled", BeamConfig(1, 0.0, 6))
+
+
+def test_beam_config_greedy_needs_beam_one_and_no_penalty():
+    assert BeamConfig(1, 0.0).greedy
+    assert not BeamConfig(1, 1.0).greedy
+    assert not BeamConfig(2, 0.0).greedy
+
+
+def test_decode_corpus_beam_one_with_penalty_runs_beam_search(monkeypatch):
+    import temperlab.decoding as decoding
+
+    model = TableModel(random_table(6))
+    cfg = BeamConfig(1, 1.0, 6)
+    monkeypatch.setattr(decoding, "greedy_decode", lambda *a, **k: pytest.fail("decoded greedily"))
+    hyps, _ = decode_corpus(model, [[4], [5]], cfg)
+    expected = [beam_decode(model, s, cfg)[0] for s in ([4], [5])]
+    assert [(h.tokens, h.score) for h in hyps] == [(h.tokens, h.score) for h in expected]

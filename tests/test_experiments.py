@@ -21,7 +21,7 @@ from temperlab.experiments import (
 )
 from temperlab.model import init_parameters, load_checkpoint, save_checkpoint
 from temperlab.training import ExperimentRecord
-from tests.test_model import shrink_parameter
+from tests.test_model import edit_stored_config, shrink_parameter
 
 MICRO = {
     "task": {
@@ -179,7 +179,7 @@ def test_rerun_reproduces_numbers(tmp_path, micro_run):
 
 def test_sweep_singleton_and_failure_rows(tmp_path):
     cfg = micro_config(temperatures=[1.0, -3.0])
-    report = run_sweep(cfg, out_dir=tmp_path)
+    report = run_sweep(cfg, tmp_path)
     by_t = {r.temperature: r for r in report.rows}
     assert by_t[1.0].status == "ok"
     assert by_t[-3.0].status.startswith("failed")
@@ -200,12 +200,12 @@ def test_sweep_singleton_and_failure_rows(tmp_path):
 def test_sweep_requires_temperatures(tmp_path):
     cfg = micro_config(temperatures=[])
     with pytest.raises(ConfigError):
-        run_sweep(cfg, out_dir=tmp_path)
+        run_sweep(cfg, tmp_path)
 
 
 def test_sweep_emits_significance_report(tmp_path):
     cfg = micro_config(temperatures=[1.0, 2.0])
-    report = run_sweep(cfg, out_dir=tmp_path)
+    report = run_sweep(cfg, tmp_path)
     sig = tmp_path / "significance.json"
     if report.t_opt == 1.0:
         assert not sig.exists()  # nothing to compare against itself
@@ -263,10 +263,14 @@ def test_analysis_reports_gaps_for_unreadable_runs(tmp_path, micro_run):
 def test_time_decoding_shape(trained_copy):
     result, data = trained_copy
     sources = [data.src_vocab.encode(s) for s, _ in data.test[:6]]
-    rows = time_decoding(result.model, sources, data.decode_max_length, beam_sizes=(2,), passes=3, warmup=2)
-    assert [r["mode"] for r in rows] == ["greedy", "beam2"]
+    rows = time_decoding(result.model, sources, data.decode_max_length)
+    assert [(r["mode"], r["beam_size"], r["alpha"]) for r in rows] == [
+        ("greedy", 1, 0.0),
+        ("beam4", 4, 1.0),
+        ("beam10", 10, 1.0),
+    ]
     assert rows[0]["slowdown_vs_greedy"] == 1.0
-    assert rows[1]["median_wall_s"] > 0
+    assert all(r["median_wall_s"] > 0 for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +396,22 @@ def test_cli_decode_wrong_shape_checkpoint_is_data_error(tmp_path, capsys):
     shrink_parameter(tmp_path / "model.npz", "dec0.cross.bq")
     assert main(args) == 3
     assert "dec0.cross.bq" in capsys.readouterr().err
+
+
+def test_cli_decode_malformed_checkpoint_config_is_data_error(tmp_path, capsys):
+    args = decode_args(tmp_path, "a b\n")
+    edit_stored_config(tmp_path / "model.npz", extra=1)
+    assert main(args) == 3
+    assert "malformed configuration" in capsys.readouterr().err
+
+
+def test_cli_unreadable_files_exit_codes(tmp_path, capsys):
+    args = decode_args(tmp_path, "a b\n")
+    args[args.index("--src-vocab") + 1] = str(tmp_path / "missing_vocab.txt")
+    assert main(args) == 3
+    assert "missing_vocab.txt" in capsys.readouterr().err
+    assert main(["train", "--config", str(tmp_path / "missing.json")]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
 
 
 def test_cli_decode_checks_lengths_before_decoding(tmp_path, capsys, monkeypatch):

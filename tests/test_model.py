@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,25 @@ def shrink_parameter(path, name):
         payload = dict(zf)
     payload[name] = payload[name][:-1]
     np.savez(path, **payload)
+
+
+def edit_stored_config(path, **changes):
+    """Rewrite a checkpoint with keys of its `__config__` JSON changed or added."""
+    with np.load(path) as zf:
+        payload = dict(zf)
+    config = json.loads(str(payload["__config__"]))
+    payload["__config__"] = np.array(json.dumps({**config, **changes}))
+    np.savez(path, **payload)
+
+
+@pytest.mark.parametrize("changes", [{"extra": 1}, {"num_heads": 3}])
+def test_checkpoint_with_malformed_config_is_data_error(tmp_path, changes):
+    # an unknown key fails the ModelConfig call, a bad value its validation
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, small_model(seed=8), step=1)
+    edit_stored_config(path, **changes)
+    with pytest.raises(DataError, match="malformed configuration"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_with_wrong_shape_is_data_error(tmp_path):
