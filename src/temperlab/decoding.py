@@ -1,14 +1,24 @@
-"""Greedy and beam search over a model's encode / decode-step methods.
+"""Greedy and beam search over a model's encoder and incremental decoder.
 
-Models share the reserved token ids (PAD=0, BOS=1, EOS=2). Greedy
-decoding, one sentence or many, runs through `greedy_decode_batch` and
-needs `encode_batch(padded sources) -> encoded` and
-`decode_step_batch(encoded, prefixes) -> [batch, vocab] logits`. Beam
-search needs `encode(source) -> encoded` and
-`decode_step(encoded, prefix) -> logits vector`, and expands one
-hypothesis per call. Hypothesis scores divide the summed log probability
-by a length penalty ((5 + len) / 6) ** alpha, where len counts tokens after
-BOS (EOS included).
+Models share the reserved token ids (PAD=0, BOS=1, EOS=2). A model
+provides:
+
+- `encode(source)` for one sentence and `encode_batch(padded sources)`
+  for many, each returning an encoded batch;
+- `decode_start(encoded) -> state`, a decoder state with one empty row
+  per encoded source;
+- `decode_next(state, tokens) -> [rows, vocab] logits`, which feeds one
+  token per row at the next position and grows the state; a state started
+  from one source may hold any number of rows, all decoding that source;
+- `decode_reorder(state, parents)`, which makes row j of the state a copy
+  of row `parents[j]`, so the row count may change.
+
+Greedy decoding, one sentence or many, runs through `greedy_decode_batch`
+with one row per source. Beam search advances all live hypotheses of one
+sentence in one `decode_next` call per length and then reorders the state
+to the survivors. Hypothesis scores divide the summed log probability by a
+length penalty ((5 + len) / 6) ** alpha, where len counts tokens after BOS
+(EOS included).
 """
 
 from __future__ import annotations
@@ -81,26 +91,28 @@ class _Live:
     tokens: tuple[int, ...]
     log_prob: float
     order: int  # insertion index, the deterministic tie-breaker
+    parent: int = 0  # the decoder-state row this hypothesis extends
 
 
 def beam_decode(model, source, cfg: BeamConfig) -> list[Hypothesis]:
     """Standard beam search with a retired pool of finished hypotheses.
 
-    Returns finished hypotheses sorted by score descending (ties broken by
-    insertion order). If nothing finishes within max_length, the best
-    unfinished hypothesis is returned, flagged unfinished.
+    All live hypotheses advance in one `decode_next` call per length, and
+    the decoder state is then reordered to the surviving ones. Returns
+    finished hypotheses sorted by score descending (ties broken by insertion
+    order). If nothing finishes within max_length, the best unfinished
+    hypothesis is returned, flagged unfinished.
     """
     alpha = cfg.length_penalty_alpha
-    encoded = model.encode(np.asarray(source, dtype=np.int64))
+    state = model.decode_start(model.encode(np.asarray(source, dtype=np.int64)))
     live: list[_Live] = [_Live(tokens=(BOS_ID,), log_prob=0.0, order=0)]
     completed: list[Hypothesis] = []
     counter = 1
 
     for _ in range(cfg.max_length):
+        logp_rows = log_softmax(model.decode_next(state, [hyp.tokens[-1] for hyp in live]))
         candidates: list[_Live] = []
-        for hyp in live:
-            logits = model.decode_step(encoded, np.asarray(hyp.tokens, dtype=np.int64))
-            logp = log_softmax(logits)
+        for row, (hyp, logp) in enumerate(zip(live, logp_rows)):
             k = min(cfg.beam_size, logp.shape[0])
             top = np.argpartition(-logp, k - 1)[:k]
             top = top[np.lexsort((top, -logp[top]))]  # prob desc, then lowest id
@@ -110,6 +122,7 @@ def beam_decode(model, source, cfg: BeamConfig) -> list[Hypothesis]:
                         tokens=hyp.tokens + (int(tok),),
                         log_prob=hyp.log_prob + float(logp[tok]),
                         order=counter,
+                        parent=row,
                     )
                 )
                 counter += 1
@@ -138,6 +151,7 @@ def beam_decode(model, source, cfg: BeamConfig) -> list[Hypothesis]:
             )
             if bound <= worst:
                 break
+        model.decode_reorder(state, [hyp.parent for hyp in live])
 
     if completed:
         return completed
@@ -166,21 +180,22 @@ def greedy_decode_batch(model, sources: list[Array], max_length: int) -> list[Hy
     padded = np.full((n, s_len), PAD_ID, dtype=np.int64)
     for i, s in enumerate(sources):
         padded[i, : len(s)] = s
-    encoded = model.encode_batch(padded)
+    state = model.decode_start(model.encode_batch(padded))
 
-    prefixes = np.full((n, 1), BOS_ID, dtype=np.int64)
+    columns = [np.full(n, BOS_ID, dtype=np.int64)]
     log_probs = np.zeros(n)
     finished = np.zeros(n, dtype=bool)
     for _ in range(max_length):
-        logits = model.decode_step_batch(encoded, prefixes)
+        logits = model.decode_next(state, columns[-1])
         logp = log_softmax(logits)
         nxt = np.argmax(logits, axis=-1)
         log_probs = np.where(finished, log_probs, log_probs + logp[np.arange(n), nxt])
-        prefixes = np.concatenate([prefixes, nxt[:, None]], axis=1)
+        columns.append(nxt)
         finished = finished | (nxt == EOS_ID)
         if finished.all():
             break
 
+    prefixes = np.stack(columns, axis=1)
     out = []
     for i in range(n):
         row = prefixes[i].tolist()

@@ -1,4 +1,4 @@
-"""Small post-norm transformer encoder-decoder on the gradient tape.
+"""Small post-norm transformer encoder-decoder.
 
 Supports an optional recurrently-stacked mode in which one encoder layer
 and one decoder layer are created and their parameters reused at every
@@ -9,6 +9,13 @@ are untied.
 
 Dropout sites, each independently configurable: attention weights,
 embedding sums, and residual branches.
+
+Training and teacher-forced scoring run on the tape. Decoding runs an
+incremental decoder on plain arrays (`decode_start`, `decode_next`,
+`decode_reorder`): it caches the self-attention keys and values, as in
+fairseq's incremental decoding, and calls the same forward halves
+(`tensor.attention_weights`, `layer_norm_forward`, `feed_forward`) as the
+tape does.
 """
 
 from __future__ import annotations
@@ -80,6 +87,28 @@ class EncodedSource:
 
     memory: Array  # [batch, src_len, model_dim]
     source_mask: Array  # [batch, src_len] bool, False at padding
+
+
+@dataclass
+class DecoderState:
+    """Incremental decoding cache for `rows` hypotheses, started by
+    `TransformerModel.decode_start`, grown one token per row by
+    `decode_next` and gathered by `decode_reorder`.
+
+    The cross-attention keys and values depend only on the sources, so they
+    are computed once and kept per source: row r attends to source r, or,
+    when there is one source (beam search), every row attends to it by
+    broadcasting. The self-attention keys and values grow one position per
+    step at each stack position. Keys are stored with their last two axes
+    swapped, ready for `tensor.attention_weights`.
+    """
+
+    cross_keys: list[Array]  # per distinct decoder layer: [sources, heads, head_dim, src_len]
+    cross_values: list[Array]  # per distinct decoder layer: [sources, heads, src_len, head_dim]
+    cross_mask: Array  # [sources, 1, 1, src_len], MASK_VALUE at padding
+    self_keys: list[Array]  # per stack position: [rows, heads, head_dim, length]
+    self_values: list[Array]  # per stack position: [rows, heads, length, head_dim]
+    length: int = 0  # tokens consumed per row; the next one sits at this position
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Array:
@@ -162,22 +191,18 @@ class TransformerModel:
         k = self._split_heads(k, batch, k_len)
         v = self._split_heads(v, batch, k_len)
 
-        scores = tt.matmul(q, tt.transpose(k, (0, 1, 3, 2)))
-        scores = tt.scale(scores, 1.0 / np.sqrt(head_dim))
-        if mask is not None:
-            scores = tt.add(scores, Tensor(np.broadcast_to(mask, scores.shape).copy()))
-        weights = tt.row_softmax(scores)
+        keep = None
         if train and cfg.attention_dropout > 0.0:
-            weights = tt.dropout(weights, cfg.attention_dropout, rng)
-        ctx = tt.matmul(weights, v)
+            shape = (batch, cfg.num_heads, q_len, k_len)
+            keep = tt.dropout_mask(shape, cfg.attention_dropout, rng)
+        ctx = tt.attention(q, k, v, 1.0 / np.sqrt(head_dim), mask, keep)
         ctx = tt.transpose(ctx, (0, 2, 1, 3))
         ctx = tt.reshape(ctx, (batch, q_len, cfg.model_dim))
         return tt.bias_add(tt.matmul(ctx, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
         p = self.params
-        h = tt.relu(tt.bias_add(tt.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
-        return tt.bias_add(tt.matmul(h, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+        return tt.ffn(x, *(p[f"{prefix}.{n}"] for n in ("w1", "b1", "w2", "b2")))
 
     def _residual(self, x: Tensor, branch: Tensor, ln_prefix: str, train: bool, rng) -> Tensor:
         if train and self.config.layer_dropout > 0.0:
@@ -261,11 +286,96 @@ class TransformerModel:
         return self.decode_step_batch(encoded, prefix)[0]
 
     def decode_step_batch(self, encoded: EncodedSource, prefixes: Array) -> Array:
-        """Next-token logits [batch, target_vocab] for equal-length prefixes."""
+        """Next-token logits [batch, target_vocab] for equal-length prefixes,
+        by running the cached decoder over them."""
         prefixes = np.asarray(prefixes, dtype=np.int64)
-        memory = Tensor(encoded.memory)
-        logits = self._decoder_stack(prefixes, memory, encoded.source_mask, train=False, rng=None)
-        return logits.array[:, -1, :]
+        state = self.decode_start(encoded)
+        for t in range(prefixes.shape[1]):
+            logits = self.decode_next(state, prefixes[:, t])
+        return logits
+
+    # -- cached decoder on plain arrays ---------------------------------------
+
+    def _linear(self, x: Array, prefix: str, which: str) -> Array:
+        p = self.params
+        return x @ p[f"{prefix}.w{which}"].array + p[f"{prefix}.b{which}"].array
+
+    def _heads(self, x: Array) -> Array:
+        """[rows, len, model_dim] -> [rows, heads, len, head_dim]"""
+        cfg = self.config
+        rows, length, _ = x.shape
+        x = x.reshape(rows, length, cfg.num_heads, cfg.model_dim // cfg.num_heads)
+        return x.transpose(0, 2, 1, 3)
+
+    def _attend(self, prefix: str, q: Array, keys: Array, values: Array, mask: Array | None) -> Array:
+        """Attention core and output projection for [rows, heads, 1, head_dim]
+        queries against cached keys and values."""
+        cfg = self.config
+        c = 1.0 / np.sqrt(cfg.model_dim // cfg.num_heads)
+        ctx = tt.attention_weights(q, keys, c, mask) @ values
+        return self._linear(ctx.transpose(0, 2, 1, 3).reshape(-1, 1, cfg.model_dim), prefix, "o")
+
+    def _norm(self, x: Array, branch: Array, ln_prefix: str) -> Array:
+        p = self.params
+        gain, bias = p[f"{ln_prefix}.gain"].array, p[f"{ln_prefix}.bias"].array
+        return tt.layer_norm_forward(x + branch, gain, bias, LN_EPS)[0]
+
+    def decode_start(self, encoded: EncodedSource) -> DecoderState:
+        """A cache with one empty row per encoded source, holding each
+        distinct decoder layer's cross-attention keys and values."""
+        cfg = self.config
+        rows = encoded.memory.shape[0]
+        head_dim = cfg.model_dim // cfg.num_heads
+        cross_keys, cross_values = [], []
+        for li in range(1 if cfg.recurrent_stacking else cfg.num_layers):
+            k = self._heads(self._linear(encoded.memory, f"dec{li}.cross", "k"))
+            v = self._heads(self._linear(encoded.memory, f"dec{li}.cross", "v"))
+            cross_keys.append(np.ascontiguousarray(k.swapaxes(-1, -2)))
+            cross_values.append(np.ascontiguousarray(v))
+        return DecoderState(
+            cross_keys=cross_keys,
+            cross_values=cross_values,
+            cross_mask=np.where(encoded.source_mask, 0.0, MASK_VALUE)[:, None, None, :],
+            self_keys=[np.zeros((rows, cfg.num_heads, head_dim, 0))] * cfg.num_layers,
+            self_values=[np.zeros((rows, cfg.num_heads, 0, head_dim))] * cfg.num_layers,
+        )
+
+    def decode_next(self, state: DecoderState, tokens: Array) -> Array:
+        """Feed one token per row at position `state.length`, append each
+        layer's self-attention key and value to the cache, and return the
+        next-token logits [rows, target_vocab].
+
+        The same blocks as `_decoder_stack` for the newest position only; no
+        causal mask is needed, because the cache holds no later position.
+        """
+        cfg = self.config
+        pos = state.length
+        if pos >= cfg.max_positions:
+            raise DataError(f"sequence length {pos + 1} exceeds max_positions {cfg.max_positions}")
+        tokens = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
+        self._check_ids(tokens, cfg.target_vocab, "target")
+        p = self.params
+        y = p["tgt_embed"].array[tokens] * np.sqrt(cfg.model_dim) + self._positions[pos]
+        for i in range(cfg.num_layers):
+            li = self._layer_index(i)
+            q, k, v = (self._heads(self._linear(y, f"dec{li}.self", w)) for w in "qkv")
+            keys = state.self_keys[i] = np.concatenate([state.self_keys[i], k.swapaxes(-1, -2)], axis=-1)
+            values = state.self_values[i] = np.concatenate([state.self_values[i], v], axis=-2)
+            y = self._norm(y, self._attend(f"dec{li}.self", q, keys, values, None), f"dec{li}.ln1")
+            q = self._heads(self._linear(y, f"dec{li}.cross", "q"))
+            keys, values = state.cross_keys[li], state.cross_values[li]
+            y = self._norm(y, self._attend(f"dec{li}.cross", q, keys, values, state.cross_mask), f"dec{li}.ln2")
+            ff = tt.feed_forward(y, *(p[f"dec{li}.ff.{n}"].array for n in ("w1", "b1", "w2", "b2")))
+            y = self._norm(y, ff[0], f"dec{li}.ln3")
+        state.length = pos + 1
+        return (y @ p["out_w"].array + p["out_b"].array)[:, 0, :]
+
+    def decode_reorder(self, state: DecoderState, parents: Array) -> None:
+        """Make row j of the cache a copy of row `parents[j]`; the number of
+        rows may change. The per-source cross-attention part is untouched."""
+        parents = np.asarray(parents, dtype=np.int64)
+        state.self_keys = [k[parents] for k in state.self_keys]
+        state.self_values = [v[parents] for v in state.self_values]
 
 
 def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:

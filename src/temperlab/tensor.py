@@ -2,14 +2,18 @@
 
 Only the primitives a small encoder-decoder needs are implemented: matmul
 (plain and leading-batch), elementwise arithmetic, row softmax and
-log-softmax, layer norm, embedding lookup, shape moves, and inverted
-dropout. Storage is row-major float64 throughout; every backward rule is
-hand-written and checked against central finite differences in the test
-suite. Broadcasting is deliberately restricted to bias-add and row-wise
-ops so each rule stays auditable.
+log-softmax, layer norm, the attention core, the feed-forward block,
+embedding lookup, shape moves, and inverted dropout. Storage is row-major
+float64 throughout; every backward rule is hand-written and checked
+against central finite differences in the test suite. Broadcasting is
+deliberately restricted to bias-add, masks and row-wise ops so each rule
+stays auditable.
 
 `softmax` and `log_softmax` are the package's one stable softmax pair, on
 plain arrays; the primitives, the tempering diagnostics and decoding use it.
+Likewise `attention_weights`, `layer_norm_forward` and `feed_forward` are
+the plain-array forward halves of `attention`, `layer_norm` and `ffn`, so
+the tape and the cached decoder compute the same expressions.
 """
 
 from __future__ import annotations
@@ -244,6 +248,18 @@ def log_row_softmax(x: Tensor) -> Tensor:
     return _emit(out, (x,), bwd)
 
 
+def layer_norm_forward(x: Array, gain: Array, bias: Array, eps: float) -> tuple[Array, Array, Array]:
+    """Layer norm of a plain array over its last axis: the output, and the
+    normalised input and inverse standard deviation that the backward needs.
+    A sum divided by the count is the same float as `mean`, without its
+    per-call overhead."""
+    d = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalise the last axis to zero mean and unit variance, then apply
     the affine transform `gain * xhat + bias`."""
@@ -252,12 +268,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain {gain.shape} / bias {bias.shape} do not match last dim {d}")
-    xm = x.array
-    mu = xm.mean(axis=-1, keepdims=True)
-    xc = xm - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
-    xhat = xc * inv
-    out = xhat * gain.array + bias.array
+    out, xhat, inv = layer_norm_forward(x.array, gain.array, bias.array, eps)
 
     def bwd(g: Array):
         gh = g * gain.array
@@ -267,6 +278,67 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         return gx, ggain, gbias
 
     return _emit(out, (x, gain, bias), bwd)
+
+
+def attention_weights(q: Array, k_t: Array, c: float, mask: Array | None) -> Array:
+    """softmax(q @ k_t * c + mask) on plain arrays: the forward half of
+    `attention` before its optional dropout. `k_t` holds the keys with
+    their last two axes swapped; `mask` is additive and broadcast."""
+    scores = (q @ k_t) * c
+    if mask is not None:
+        scores = scores + mask
+    return softmax(scores)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, c: float, mask: Array | None, keep: Array | None) -> Tensor:
+    """Scaled dot-product attention core over [..., len, head_dim] operands:
+    `attention_weights(q, kᵀ, c, mask)`, times the dropout multiplier
+    `keep` when given, then times `v`. The backward is the chain rule
+    through those steps in reverse."""
+    c = float(c)
+    qm, vm = q.array, v.array
+    k_t = np.ascontiguousarray(k.array.swapaxes(-1, -2))
+    w = attention_weights(qm, k_t, c, mask)
+    if not np.all(np.isfinite(w)):
+        raise NumericError("attention: non-finite scores")
+    wd = w if keep is None else w * keep
+
+    def bwd(g: Array):
+        g_w = g @ vm.swapaxes(-1, -2)
+        g_v = wd.swapaxes(-1, -2) @ g
+        if keep is not None:
+            g_w = g_w * keep
+        g_s = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True)) * c
+        g_q = g_s @ k_t.swapaxes(-1, -2)
+        g_k = (qm.swapaxes(-1, -2) @ g_s).swapaxes(-1, -2)
+        return g_q, g_k, g_v
+
+    return _emit(wd @ vm, (q, k, v), bwd)
+
+
+def feed_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> tuple[Array, Array]:
+    """relu(x @ w1 + b1) @ w2 + b2 on plain arrays: the output and the
+    hidden activations, the forward half of `ffn`."""
+    h = x @ w1 + b1
+    h = np.where(h > 0.0, h, 0.0)
+    return h @ w2 + b2, h
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Position-wise feed-forward block with a ReLU hidden layer."""
+    xm, w1m, w2m = x.array, w1.array, w2.array
+    out, h = feed_forward(xm, w1m, b1.array, w2m, b2.array)
+
+    def bwd(g: Array):
+        d, hidden = w2m.shape[1], w2m.shape[0]
+        g_b2 = g.reshape(-1, d).sum(axis=0)
+        g_w2 = h.reshape(-1, hidden).T @ g.reshape(-1, d)
+        g_h = (g @ w2m.swapaxes(-1, -2)) * (h > 0.0)
+        g_b1 = g_h.reshape(-1, hidden).sum(axis=0)
+        g_w1 = xm.reshape(-1, xm.shape[-1]).T @ g_h.reshape(-1, hidden)
+        return g_h @ w1m.swapaxes(-1, -2), g_w1, g_b1, g_w2, g_b2
+
+    return _emit(out, (x, w1, b1, w2, b2), bwd)
 
 
 def embed(table: Tensor, ids: Array) -> Tensor:
@@ -297,12 +369,17 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     The mask multiply is recorded on the tape like any other op, so the
     backward pass sees exactly the mask used in the forward pass.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return mul(x, _result(mask, False))
+    return mul(x, _result(dropout_mask(x.shape, rate, rng), False))
+
+
+def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> Array:
+    """Inverted-dropout multiplier: 0 with probability `rate`, else
+    1 / (1 - rate)."""
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
 def finite_difference_gradient(f, x: Tensor, h: float = 1e-5) -> Tensor:

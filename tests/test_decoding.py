@@ -20,7 +20,8 @@ class TableModel:
     """Markov toy decoder: next-token logits depend only on the last token.
 
     `table` is [vocab, vocab]; row i holds the logits emitted after token i.
-    The source is ignored, which makes exhaustive enumeration trivial.
+    The source is ignored, which makes exhaustive enumeration trivial, and
+    the decoder state is too: the newest token is all a step needs.
     """
 
     def __init__(self, table):
@@ -29,14 +30,17 @@ class TableModel:
     def encode(self, source):
         return None
 
-    def decode_step(self, encoded, prefix):
-        return self.table[int(prefix[-1])]
-
     def encode_batch(self, sources):
         return None
 
-    def decode_step_batch(self, encoded, prefixes):
-        return self.table[prefixes[:, -1]]
+    def decode_start(self, encoded):
+        return None
+
+    def decode_next(self, state, tokens):
+        return self.table[np.asarray(tokens, dtype=np.int64)]
+
+    def decode_reorder(self, state, parents):
+        pass
 
 
 def log_softmax(row):
@@ -228,6 +232,28 @@ def test_batched_greedy_equals_sequential(trained_copy):
         single = greedy_decode(result.model, src, data.decode_max_length)
         assert hyp.tokens == single.tokens
         assert hyp.log_prob == pytest.approx(single.log_prob, abs=1e-9)
+
+
+def test_beam_hypotheses_match_teacher_forced_rescoring(trained_copy):
+    # TableModel ignores the decoder state, so only a real model checks
+    # that the cache rows follow their hypotheses through each reorder
+    result, data = trained_copy
+    model = result.model
+    for beam_size in (4, 10):
+        cfg = BeamConfig(beam_size, 1.0, data.decode_max_length)
+        for src_tokens, _ in data.dev[:8]:
+            src = data.src_vocab.encode(src_tokens)
+            hyps = beam_decode(model, src, cfg)
+            width = max(len(h.tokens) for h in hyps) - 1
+            target_in = np.zeros((len(hyps), width), dtype=np.int64)
+            for i, h in enumerate(hyps):
+                target_in[i, : len(h.tokens) - 1] = h.tokens[:-1]
+            sources = np.repeat(src[None, :], len(hyps), axis=0)
+            logits = model.forward_teacher_forced(sources, target_in).array
+            for i, h in enumerate(hyps):
+                rescored = sum(log_softmax(logits[i, j])[tok] for j, tok in enumerate(h.tokens[1:]))
+                assert abs(h.log_prob - rescored) <= 1e-9
+                assert h.score == h.log_prob / length_penalty(len(h.tokens) - 1, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from temperlab.data import PAD_ID
+from temperlab.data import EOS_ID, PAD_ID
+from temperlab.decoding import BeamConfig, beam_decode, greedy_decode
 from temperlab.errors import ConfigError, DataError
 from temperlab.model import (
     ModelConfig,
@@ -226,15 +227,30 @@ def test_end_to_end_gradient_matches_finite_differences(rng):
 
 
 def test_decode_step_matches_teacher_forced_last_position(rng):
-    model = small_model(seed=6)
-    src = rng.integers(4, model.config.source_vocab, size=(5,))
-    encoded = model.encode(src)
-    for t_len in (1, 3, 6):
-        prefix = rng.integers(4, model.config.target_vocab, size=(t_len,))
-        prefix[0] = 1
-        step_logits = model.decode_step(encoded, prefix)
-        full = model.forward_teacher_forced(src.reshape(1, -1), prefix.reshape(1, -1)).array
-        assert np.max(np.abs(step_logits - full[0, -1])) <= 1e-10
+    # the cached decoder against the tape, one sentence and a padded batch
+    # of three unequal sources, with and without recurrent stacking
+    for over in ({}, {"recurrent_stacking": True, "num_layers": 3}):
+        model = small_model(seed=6, **over)
+        cfg = model.config
+        src = rng.integers(4, cfg.source_vocab, size=(5,))
+        encoded = model.encode(src)
+        for t_len in (1, 3, 6):
+            prefix = rng.integers(4, cfg.target_vocab, size=(t_len,))
+            prefix[0] = 1
+            step_logits = model.decode_step(encoded, prefix)
+            full = model.forward_teacher_forced(src.reshape(1, -1), prefix.reshape(1, -1)).array
+            assert np.max(np.abs(step_logits - full[0, -1])) <= 1e-10
+
+        sources = np.full((3, 5), PAD_ID)
+        for i, n in enumerate((5, 2, 4)):
+            sources[i, :n] = rng.integers(4, cfg.source_vocab, size=n)
+        prefixes = rng.integers(4, cfg.target_vocab, size=(3, 6))
+        prefixes[:, 0] = 1
+        full = model.forward_teacher_forced(sources, prefixes).array
+        encoded = model.encode_batch(sources)
+        for t_len in range(1, 7):
+            step_logits = model.decode_step_batch(encoded, prefixes[:, :t_len])
+            assert np.max(np.abs(step_logits - full[:, t_len - 1])) <= 1e-10
 
 
 def test_decode_step_bos_only_prefix(rng):
@@ -252,6 +268,17 @@ def test_decode_step_deterministic(rng):
     a = model.decode_step(encoded, prefix)
     b = model.decode_step(encoded, prefix)
     assert np.array_equal(a, b)
+
+
+def test_decoding_past_max_positions_is_data_error():
+    # EOS is never the argmax, so both decoders run past the position table
+    model = small_model(seed=6)
+    model.params["out_b"].array[EOS_ID] = -1e9
+    max_length = model.config.max_positions + 2
+    with pytest.raises(DataError, match="max_positions"):
+        greedy_decode(model, [4, 5, 6], max_length)
+    with pytest.raises(DataError, match="max_positions"):
+        beam_decode(model, [4, 5, 6], BeamConfig(2, 1.0, max_length))
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,81 @@ def test_layer_norm_gradients(rng):
 
 
 # ---------------------------------------------------------------------------
+# attention core and feed-forward block
+
+
+def attention_chain(q, k, v, c, mask, keep):
+    """The attention core as a chain of the elementary primitives."""
+    scores = tt.scale(tt.matmul(q, tt.transpose(k, (0, 1, 3, 2))), c)
+    scores = tt.add(scores, Tensor(np.broadcast_to(mask, scores.shape).copy()))
+    weights = tt.mul(tt.row_softmax(scores), Tensor(keep))
+    return tt.matmul(weights, v)
+
+
+def ffn_chain(x, w1, b1, w2, b2):
+    """The feed-forward block as a chain of the elementary primitives."""
+    h = tt.relu(tt.bias_add(tt.matmul(x, w1), b1))
+    return tt.bias_add(tt.matmul(h, w2), b2)
+
+
+def attention_inputs(rng):
+    q, k, v = (Tensor(rng.normal(size=(2, 3, 4, 5)), tracked=True) for _ in range(3))
+    mask = np.where(rng.random((2, 1, 1, 4)) < 0.3, -1e9, 0.0)
+    keep = (rng.random((2, 3, 4, 4)) >= 0.2) / 0.8
+    return (q, k, v), mask, keep
+
+
+def ffn_inputs(rng):
+    shapes = ((2, 3, 4), (4, 6), (6,), (6, 4), (4,))
+    return tuple(Tensor(rng.normal(size=s), tracked=True) for s in shapes)
+
+
+def grads_of(fn, inputs, weight):
+    with GradientTape() as tape:
+        out = fn(*inputs)
+        loss = tt.sum_all(tt.mul(out, Tensor(weight)))
+    grads = backward(tape, loss)
+    return out.array, [grads[t] for t in inputs]
+
+
+def test_attention_and_ffn_equal_their_primitive_chains_bitwise(rng):
+    # the model's tape uses the fused primitives; training bits depend on
+    # them computing the same floats as the chains they replace
+    (q, k, v), mask, keep = attention_inputs(rng)
+    weight = rng.normal(size=(2, 3, 4, 5))
+    fused = grads_of(lambda *t: tt.attention(*t, 0.3, mask, keep), (q, k, v), weight)
+    chain = grads_of(lambda *t: attention_chain(*t, 0.3, mask, keep), (q, k, v), weight)
+    assert np.array_equal(fused[0], chain[0])
+    assert all(np.array_equal(a, b) for a, b in zip(fused[1], chain[1]))
+
+    params = ffn_inputs(rng)
+    weight = rng.normal(size=(2, 3, 4))
+    fused = grads_of(tt.ffn, params, weight)
+    chain = grads_of(ffn_chain, params, weight)
+    assert np.array_equal(fused[0], chain[0])
+    assert all(np.array_equal(a, b) for a, b in zip(fused[1], chain[1]))
+
+
+def test_attention_and_ffn_gradients_match_finite_differences(rng):
+    (q, k, v), mask, keep = attention_inputs(rng)
+    for fn, inputs in (
+        (lambda *t: tt.attention(*t, 0.5, mask, keep), (q, k, v)),
+        (tt.ffn, ffn_inputs(rng)),
+    ):
+        weight = rng.normal(size=fn(*inputs).shape)
+        _, grads = grads_of(fn, inputs, weight)
+        for i, (tens, g) in enumerate(zip(inputs, grads)):
+
+            def f(t, i=i):
+                args = list(inputs)
+                args[i] = t
+                return tt.sum_all(tt.mul(fn(*args), Tensor(weight)))
+
+            fd = finite_difference_gradient(f, tens, h=1e-5)
+            assert rel_err(g, fd.array, floor=1e-6) < 1e-4, i
+
+
+# ---------------------------------------------------------------------------
 # backward / tape
 
 
