@@ -8,18 +8,26 @@ import warnings
 
 # Desk-scale tensors are far too small for BLAS thread pools; oversubscribed
 # threads slow the training step several-fold, and the thread count changes
-# parameter bits. Only takes effect when numpy has not been imported yet.
+# parameter bits. The variables act only when numpy has not been imported yet
+# (and are inherited by worker processes); once it has, numpy's bundled
+# OpenBLAS is pinned through its own call.
 _unset = [v for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
           if v not in os.environ]
 os.environ.update(dict.fromkeys(_unset, "1"))
 if _unset and "numpy" in sys.modules:
-    warnings.warn(
-        f"numpy was imported before temperlab with {', '.join(_unset)} unset: BLAS keeps its "
-        "own thread count, which changes parameter bits. For bit-identical runs (README, "
-        "Reproducibility) set the three variables to 1 or import temperlab before numpy",
-        RuntimeWarning,
-        stacklevel=2,
-    )
+    from . import blas
+
+    if blas.library() is None:
+        warnings.warn(
+            f"numpy was imported before temperlab with {', '.join(_unset)} unset, and its BLAS "
+            "is not the bundled OpenBLAS that temperlab can pin: it keeps its own thread count, "
+            "which changes parameter bits. For bit-identical runs (README, Reproducibility) set "
+            "the three variables to 1 or import temperlab before numpy",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    elif "OPENBLAS_NUM_THREADS" in _unset:
+        blas.set_threads(1)
 del _unset, os, sys, warnings
 
 from .data import (

@@ -92,6 +92,7 @@ class _Live:
     log_prob: float
     order: int  # insertion index, the deterministic tie-breaker
     parent: int = 0  # the decoder-state row this hypothesis extends
+    score: float = 0.0  # length-penalised log_prob, computed once when made
 
 
 def beam_decode(model, source, cfg: BeamConfig) -> list[Hypothesis]:
@@ -117,22 +118,23 @@ def beam_decode(model, source, cfg: BeamConfig) -> list[Hypothesis]:
             top = np.argpartition(-logp, k - 1)[:k]
             top = top[np.lexsort((top, -logp[top]))]  # prob desc, then lowest id
             for tok in top:
+                log_prob = hyp.log_prob + float(logp[tok])
                 candidates.append(
                     _Live(
                         tokens=hyp.tokens + (int(tok),),
-                        log_prob=hyp.log_prob + float(logp[tok]),
+                        log_prob=log_prob,
                         order=counter,
                         parent=row,
+                        score=_score(log_prob, len(hyp.tokens), alpha),
                     )
                 )
                 counter += 1
-        candidates.sort(key=lambda c: (-_score(c.log_prob, len(c.tokens) - 1, alpha), c.order))
+        candidates.sort(key=lambda c: (-c.score, c.order))
         live = []
         for cand in candidates:
-            score = _score(cand.log_prob, len(cand.tokens) - 1, alpha)
             if cand.tokens[-1] == EOS_ID:
                 completed.append(
-                    Hypothesis(tokens=cand.tokens, log_prob=cand.log_prob, score=score, finished=True)
+                    Hypothesis(tokens=cand.tokens, log_prob=cand.log_prob, score=cand.score, finished=True)
                 )
             elif len(live) < cfg.beam_size:
                 live.append(cand)
@@ -156,14 +158,7 @@ def beam_decode(model, source, cfg: BeamConfig) -> list[Hypothesis]:
     if completed:
         return completed
     best = live[0]
-    return [
-        Hypothesis(
-            tokens=best.tokens,
-            log_prob=best.log_prob,
-            score=_score(best.log_prob, len(best.tokens) - 1, alpha),
-            finished=False,
-        )
-    ]
+    return [Hypothesis(tokens=best.tokens, log_prob=best.log_prob, score=best.score, finished=False)]
 
 
 def greedy_decode_batch(model, sources: list[Array], max_length: int) -> list[Hypothesis]:

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -142,7 +143,15 @@ def load_config(path=None, overrides=()) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(apply_overrides(raw, overrides))
+    cfg = config_from_dict(apply_overrides(raw, overrides))
+    if cfg.trainer.seed != 0:
+        # run_experiment trains with seeds.train; a trainer.seed would change
+        # config_hash and nothing else
+        raise ConfigError(
+            f"trainer.seed is {cfg.trainer.seed}, but a run's training seed is seeds.train: "
+            "set seeds.train instead"
+        )
+    return cfg
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -324,68 +333,105 @@ class SweepReport:
     out_dir: str
 
 
-def test_greedy_outputs(run: RunResult) -> list[tuple[str, ...]]:
-    return greedy_outputs(run.decode_model, run.data, "test")
+def test_greedy_outputs(model, data: TaskData) -> list[tuple[str, ...]]:
+    return greedy_outputs(model, data, "test")
 
 
-def oracle_beam_search(run: RunResult, grid: BeamGridConfig) -> tuple[float, int, float]:
+def oracle_beam_search(model, data: TaskData, grid: BeamGridConfig) -> tuple[float, int, float]:
     """Best test BLEU over the whole beam-size x penalty grid.
 
     This reproduces a test-set-selected ("oracle") number: it is a harness
     for studying curves, not a deployable selection procedure.
     """
-    refs = [t for _, t in run.data.test]
+    refs = [t for _, t in data.test]
     best = (-1.0, 0, 0.0)
     for beam in grid.beam_sizes:
         for alpha in grid.length_penalties:
             cfg = BeamConfig(beam_size=beam, length_penalty_alpha=alpha, max_length=grid.max_length)
-            score = corpus_bleu(beam_outputs(run.decode_model, run.data, "test", cfg), refs)
+            score = corpus_bleu(beam_outputs(model, data, "test", cfg), refs)
             if score > best[0]:
                 best = (score, beam, alpha)
     return best
 
 
+def parallel_map(fn, jobs: list) -> list:
+    """`[fn(job) for job in jobs]`, run in one worker process per job and
+    available CPU when this process may use more than one; otherwise in this
+    process, starting none. `fn` must be a module-level function, and jobs
+    and results must pickle. Workers start with the `spawn` method, so each
+    imports temperlab afresh and inherits the BLAS thread variables that
+    importing temperlab set here."""
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    import multiprocessing  # imported here: in-process maps skip its import time
+
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
+        return pool.map(fn, jobs, chunksize=1)
+
+
+def _train_temperature(job: tuple[ExperimentConfig, float, Path]) -> tuple[float | None, str | None]:
+    """One sweep temperature's `run_experiment`: (dev BLEU, None) or, for a
+    failed row, (None, the error text)."""
+    cfg, temperature, run_dir = job
+    try:
+        return run_experiment(cfg, temperature, run_dir).dev_bleu, None
+    except TemperlabError as exc:
+        return None, str(exc)
+
+
+def _decode_test(job: tuple[ExperimentConfig, Path]) -> tuple[list, float, tuple[float, int, float]]:
+    """Test greedy outputs, their BLEU and the oracle beam grid of the model
+    that a run saved in its `average.npz` (bit-equal to the one it
+    evaluated on dev)."""
+    cfg, run_dir = job
+    model, _step = load_checkpoint(run_dir / "average.npz")
+    data = build_task_data(cfg)
+    outputs = test_greedy_outputs(model, data)
+    bleu = corpus_bleu(outputs, [t for _, t in data.test])
+    return outputs, bleu, oracle_beam_search(model, data, cfg.beam_grid)
+
+
 def run_sweep(cfg: ExperimentConfig, out_dir) -> SweepReport:
     """Train one model per temperature, pick the best on dev greedy BLEU,
     then evaluate test greedy and the oracle beam grid for every
-    temperature. Selection happens strictly before any test decoding."""
+    temperature. Selection happens strictly before any test decoding. The
+    temperatures train, and then decode, in parallel (`parallel_map`)."""
     if not cfg.temperatures:
         raise ConfigError("sweep needs at least one temperature")
     out = Path(out_dir)
+    run_dirs = {t: out / "runs" / _format_t(t) for t in cfg.temperatures}
+    if len(set(run_dirs.values())) < len(cfg.temperatures):
+        # two workers would write one run directory at once
+        raise ConfigError(
+            f"sweep temperatures {list(cfg.temperatures)} must differ in their first 6 significant digits"
+        )
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", cfg, {"config": config_to_dict(cfg)})
 
-    runs: dict[float, RunResult] = {}
-    rows: list[SweepRow] = []
-    for t in cfg.temperatures:
-        try:
-            runs[t] = run_experiment(cfg, t, out / "runs" / _format_t(t))
-            rows.append(SweepRow(temperature=t, status="ok", dev_greedy_bleu=runs[t].dev_bleu))
-        except TemperlabError as exc:
-            rows.append(SweepRow(temperature=t, status=f"failed: {exc}"))
+    trained = parallel_map(_train_temperature, [(cfg, t, run_dirs[t]) for t in cfg.temperatures])
+    rows = [
+        SweepRow(temperature=t, status="ok", dev_greedy_bleu=bleu) if error is None
+        else SweepRow(temperature=t, status=f"failed: {error}")
+        for t, (bleu, error) in zip(cfg.temperatures, trained)
+    ]
 
     ok_rows = [r for r in rows if r.status == "ok"]
     t_opt = max(ok_rows, key=lambda r: r.dev_greedy_bleu).temperature if ok_rows else None
 
     # test decoding strictly after dev-based selection
-    greedy_outputs: dict[float, list] = {}
-    for row in rows:
-        if row.status != "ok":
-            continue
-        run = runs[row.temperature]
-        outputs = test_greedy_outputs(run)
-        greedy_outputs[row.temperature] = outputs
-        refs = [t for _, t in run.data.test]
-        row.test_greedy_bleu = corpus_bleu(outputs, refs)
+    decoded = parallel_map(_decode_test, [(cfg, run_dirs[r.temperature]) for r in ok_rows])
+    test_outputs: dict[float, list] = {}
+    for row, (outputs, bleu, oracle) in zip(ok_rows, decoded):
+        test_outputs[row.temperature] = outputs
+        row.test_greedy_bleu = bleu
         write_hypotheses(out / f"test_greedy_{_format_t(row.temperature)}.txt", outputs)
-        row.oracle_beam_bleu, row.oracle_beam_size, row.oracle_alpha = oracle_beam_search(
-            run, cfg.beam_grid
-        )
+        row.oracle_beam_bleu, row.oracle_beam_size, row.oracle_alpha = oracle
 
-    if t_opt is not None and t_opt != 1.0 and 1.0 in greedy_outputs:
-        refs = [t for _, t in runs[t_opt].data.test]
+    if t_opt is not None and t_opt != 1.0 and 1.0 in test_outputs:
+        refs = [t for _, t in build_task_data(cfg).test]
         boot = paired_bootstrap(
-            greedy_outputs[t_opt], greedy_outputs[1.0], refs, resamples=1000, seed=0
+            test_outputs[t_opt], test_outputs[1.0], refs, resamples=1000, seed=0
         )
         _write_json(
             out / "significance.json",

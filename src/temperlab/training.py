@@ -4,8 +4,8 @@ early stopping, checkpoint averaging, and per-step diagnostics.
 Each step records the per-token loss, the mean entropy of the
 temperature-scaled softmax (the distribution the loss sees) and of the
 unscaled softmax (the distribution decoding would see), and the global L2
-norm over all parameter gradients. Gradient clipping is off by default so
-the recorded norm curves are unclipped.
+norm over all parameter gradients. Gradients are never clipped, so the
+recorded norm curves are unclipped.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class TrainerConfig:
     min_delta: float = 0.1  # BLEU band width that counts as "not varying"
     max_steps: int = 1500
     checkpoint_keep: int = 10
-    clip_norm: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -252,9 +251,6 @@ def train_step(
         name: grad_map.get(p, np.zeros_like(p.array)) for name, p in model.params.items()
     }
     norm = global_gradient_norm(grads)
-    if trainer.clip_norm is not None and norm > trainer.clip_norm:
-        scale = trainer.clip_norm / norm
-        grads = {name: g * scale for name, g in grads.items()}
     new_params = adam.update(model.params, grads, learning_rate(step, trainer), trainer)
     tempered_h, raw_h = entropy_views(logits.array, batch.target_mask, tempering.temperature)
     record = StepRecord(

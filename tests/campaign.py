@@ -1,10 +1,12 @@
 """Shared training campaign backing the trend-level acceptance criteria.
 
 Twelve desk-scale runs (temperatures {1, 2, 3, 5} x three seeds) on the
-noisy copy task, each one `run_experiment` of `CONFIG`. Runs are
-deterministic, so finished results are cached on disk keyed by the campaign
-fingerprint; delete the cache directory to force retraining. The key covers
-only the configuration, so after a code change run
+noisy copy task, each one `run_experiment` of `CONFIG`, built in parallel
+worker processes (`experiments.parallel_map`). Runs are deterministic, so
+finished results are cached on disk keyed by the campaign fingerprint;
+delete the cache directory to force retraining. The key covers the
+configuration and the numeric environment (numpy version, BLAS library and
+its thread count), not the code, so after a code change run
 
     PYTHONPATH=src python3 tests/campaign.py --check
 
@@ -27,6 +29,9 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
+from temperlab import blas
 from temperlab.decoding import BeamConfig
 from temperlab.experiments import (
     BeamGridConfig,
@@ -34,13 +39,14 @@ from temperlab.experiments import (
     SeedConfig,
     build_task_data,
     entropy_probe,
+    parallel_map,
     run_experiment,
 )
 from temperlab.metrics import corpus_bleu, output_similarity_bleu
 from temperlab.model import load_checkpoint
 from temperlab.training import TrainerConfig, beam_outputs, greedy_outputs, tail_grad_norm
 
-CAMPAIGN_VERSION = 2
+CAMPAIGN_VERSION = 3
 TEMPERATURES = (1.0, 2.0, 3.0, 5.0)
 SEEDS = (0, 1, 2)
 
@@ -69,6 +75,8 @@ def campaign_fingerprint() -> str:
             "temperatures": TEMPERATURES,
             "seeds": SEEDS,
             "max_len": CONFIG.beam_grid.max_length,
+            "numpy": np.__version__,
+            "blas": blas.describe(),
         },
         sort_keys=True,
     )
@@ -109,10 +117,15 @@ def _measure(model, data, temperature: float, grad_norms: list) -> dict:
     )
 
 
+def _name(temperature: float, seed: int) -> str:
+    """A run's directory and, with `.json`, its cache file."""
+    return f"run_T{temperature:g}_s{seed}"
+
+
 def _run_one(temperature: float, seed: int, out: Path) -> CampaignRun:
     cfg = dataclasses.replace(CONFIG, seeds=SeedConfig(model=100 + seed, train=200 + seed))
     t0 = time.perf_counter()
-    run = run_experiment(cfg, temperature, out / f"run_T{temperature:g}_s{seed}")
+    run = run_experiment(cfg, temperature, out / _name(temperature, seed))
     train_wall_s = time.perf_counter() - t0
     shutil.rmtree(Path(run.run_dir) / "checkpoints")  # the cache keeps only the average
 
@@ -129,29 +142,31 @@ def _run_one(temperature: float, seed: int, out: Path) -> CampaignRun:
     )
 
 
+def _build_one(job: tuple[float, int, Path, bool]) -> None:
+    """Train and measure one run and write its cache file."""
+    temperature, seed, out, verbose = job
+    run = _run_one(temperature, seed, out)
+    with open(out / f"{_name(temperature, seed)}.json", "w", encoding="utf-8") as fh:
+        json.dump(dataclasses.asdict(run), fh)
+    if verbose:
+        print(
+            f"T={temperature:g} seed={seed}: dev {run.dev_bleu:.2f} "
+            f"test {run.test_greedy_bleu:.2f} beam4 {run.test_beam4_bleu:.2f} "
+            f"sim {run.similarity_bleu:.2f} rawH {run.raw_entropy:.3f} "
+            f"gnorm {run.tail_grad_norm:.3f}",
+            flush=True,
+        )
+
+
 def run_campaign(verbose: bool = False) -> dict[tuple[float, int], CampaignRun]:
     out = cache_dir()
     out.mkdir(parents=True, exist_ok=True)
+    keys = {(t, s): out / f"{_name(t, s)}.json" for s in SEEDS for t in TEMPERATURES}
+    parallel_map(_build_one, [(t, s, out, verbose) for (t, s), key in keys.items() if not key.exists()])
     runs: dict[tuple[float, int], CampaignRun] = {}
-    for seed in SEEDS:
-        for temperature in TEMPERATURES:
-            key = out / f"run_T{temperature:g}_s{seed}.json"
-            if key.exists():
-                with open(key, encoding="utf-8") as fh:
-                    runs[(temperature, seed)] = CampaignRun(**json.load(fh))
-                continue
-            run = _run_one(temperature, seed, out)
-            with open(key, "w", encoding="utf-8") as fh:
-                json.dump(dataclasses.asdict(run), fh)
-            runs[(temperature, seed)] = run
-            if verbose:
-                print(
-                    f"T={temperature:g} seed={seed}: dev {run.dev_bleu:.2f} "
-                    f"test {run.test_greedy_bleu:.2f} beam4 {run.test_beam4_bleu:.2f} "
-                    f"sim {run.similarity_bleu:.2f} rawH {run.raw_entropy:.3f} "
-                    f"gnorm {run.tail_grad_norm:.3f}",
-                    flush=True,
-                )
+    for run_key, key in keys.items():
+        with open(key, encoding="utf-8") as fh:
+            runs[run_key] = CampaignRun(**json.load(fh))
     return runs
 
 
@@ -160,24 +175,25 @@ def load_campaign_model(run: CampaignRun):
     return model
 
 
+def _check_one(path: Path) -> list[str]:
+    """The measured fields of one cached run that its cached model no longer
+    reproduces bit for bit, as `field cached -> fresh`."""
+    with open(path, encoding="utf-8") as fh:
+        run = CampaignRun(**json.load(fh))
+    fresh = _measure(load_campaign_model(run), build_task_data(CONFIG), run.temperature, run.grad_norms)
+    return [f"{k} {getattr(run, k)!r} -> {v!r}" for k, v in fresh.items() if getattr(run, k) != v]
+
+
 def check_campaign() -> int:
     """Recompute the measured fields of every cached run; 0 when all are
     bit-equal to the cache."""
-    data = build_task_data(CONFIG)
     paths = sorted(cache_dir().glob("run_T*_s*.json"))
-    bad = 0
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            run = CampaignRun(**json.load(fh))
-        fresh = _measure(load_campaign_model(run), data, run.temperature, run.grad_norms)
-        diffs = [
-            f"{k} {getattr(run, k)!r} -> {v!r}" for k, v in fresh.items() if getattr(run, k) != v
-        ]
-        bad += bool(diffs)
+    results = parallel_map(_check_one, paths)
+    for path, diffs in zip(paths, results):
         print(f"{path.name}: {'; '.join(diffs) if diffs else 'bit-identical'}", flush=True)
     if not paths:
         print(f"no cached runs under {cache_dir()}")
-    return 0 if paths and not bad else 1
+    return 0 if paths and not any(results) else 1
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 import csv
 import json
+import multiprocessing.process
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from temperlab.experiments import (
     config_to_dict,
     default_config,
     load_config,
+    parallel_map,
     run_analysis,
     run_experiment,
     run_sweep,
@@ -177,7 +180,13 @@ def test_rerun_reproduces_numbers(tmp_path, micro_run):
 # sweep
 
 
-def test_sweep_singleton_and_failure_rows(tmp_path):
+def use_cpus(monkeypatch, n):
+    """Make `parallel_map` see `n` usable CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_sweep_singleton_and_failure_rows(tmp_path, monkeypatch):
+    use_cpus(monkeypatch, 2)  # so the T=-3 row fails inside a worker process
     cfg = micro_config(temperatures=[1.0, -3.0])
     report = run_sweep(cfg, tmp_path)
     by_t = {r.temperature: r for r in report.rows}
@@ -197,10 +206,53 @@ def test_sweep_singleton_and_failure_rows(tmp_path):
     assert (tmp_path / "test_greedy_T1.txt").exists()
 
 
+def tree(root):
+    """Every file under `root` by relative path, with `wall_s` dropped from
+    the training records."""
+    files = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        body = path.read_bytes()
+        if path.name == "record.jsonl":
+            body = [{k: v for k, v in json.loads(line).items() if k != "wall_s"} for line in body.splitlines()]
+        files[str(path.relative_to(root))] = body
+    return files
+
+
+def test_sweep_in_workers_equals_sweep_in_process(tmp_path, monkeypatch):
+    cfg = micro_config(temperatures=[1.0, 2.0])
+    use_cpus(monkeypatch, 2)
+    run_sweep(cfg, tmp_path / "pool")
+    use_cpus(monkeypatch, 1)
+    run_sweep(cfg, tmp_path / "serial")
+    pool, serial = tree(tmp_path / "pool"), tree(tmp_path / "serial")
+    assert "runs/T2/average.npz" in pool and "test_greedy_T2.txt" in pool
+    assert pool.keys() == serial.keys()
+    assert [name for name in pool if pool[name] != serial[name]] == []
+
+
+def _square(x):
+    return x * x
+
+
+def test_parallel_map_on_one_cpu_starts_no_process(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    use_cpus(monkeypatch, 1)
+    assert parallel_map(_square, [1, 2, 3]) == [1, 4, 9]
+    use_cpus(monkeypatch, 4)
+    assert parallel_map(_square, [5]) == [25]  # one job needs no worker either
+
+
 def test_sweep_requires_temperatures(tmp_path):
     cfg = micro_config(temperatures=[])
     with pytest.raises(ConfigError):
         run_sweep(cfg, tmp_path)
+    cfg = micro_config(temperatures=[1.0, 2.0, 1.0000001])  # two runs in runs/T1
+    with pytest.raises(ConfigError, match="6 significant digits"):
+        run_sweep(cfg, tmp_path)
+    assert not (tmp_path / "runs").exists()
 
 
 def test_sweep_emits_significance_report(tmp_path):
@@ -299,6 +351,16 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     code = main(["train", "--config", str(cfg_path), "--set", "tempering.temperature=-1"])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_trainer_seed_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="seeds.train"):
+        load_config(overrides=["trainer.seed=5"])
+    cfg_path = write_micro_config(tmp_path)
+    code = main(["train", "--config", str(cfg_path), "--set", "trainer.seed=5", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "seeds.train" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_exit_code_for_numeric_abort(tmp_path, capsys, monkeypatch):

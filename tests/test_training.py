@@ -257,25 +257,35 @@ def test_training_is_bit_reproducible():
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+READ_THREADS = "from temperlab import blas; print(blas.describe()['threads'])"
 
 
-@pytest.mark.parametrize(
-    "imports, threads, warns",
-    [("numpy, temperlab", None, True), ("temperlab, numpy", None, False), ("numpy, temperlab", "1", False)],
-)
-def test_thread_pin_warns_when_numpy_came_first(imports, threads, warns):
+def run_python(code: str, threads=None) -> subprocess.CompletedProcess:
+    """`code` in a fresh interpreter with RuntimeWarnings as errors, the
+    thread variables unset or all set to `threads`."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env.update(dict.fromkeys(THREAD_VARS, threads) if threads else {})
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-c", f"import {imports}"],
-        env=env,
-        capture_output=True,
-        text=True,
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code], env=env, capture_output=True, text=True
     )
-    assert (proc.returncode != 0) == warns, proc.stderr
-    if warns:
-        assert "README, Reproducibility" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "imports, threads",
+    [("numpy, temperlab", None), ("temperlab, numpy", None), ("numpy, temperlab", "1")],
+)
+def test_thread_pin_holds_whatever_the_import_order(imports, threads):
+    proc = run_python(f"import {imports}; {READ_THREADS}", threads)
+    assert proc.returncode == 0, proc.stderr  # no warning either
+    assert proc.stdout.split() == ["1"]
+
+
+def test_thread_pin_warns_for_a_blas_it_cannot_find():
+    hide = "import glob, numpy; glob.glob = lambda pattern: []"  # no bundled OpenBLAS in sight
+    proc = run_python(f"{hide}; import temperlab")
+    assert proc.returncode != 0
+    assert "RuntimeWarning" in proc.stderr and "README, Reproducibility" in proc.stderr
 
 
 def test_record_structure_and_monotone_steps():
