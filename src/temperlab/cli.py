@@ -96,9 +96,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    report = run_analysis(
-        args.runs, args.out, with_timing=not args.no_timing, with_similarity=not args.no_similarity
-    )
+    report = run_analysis(args.runs, args.out, with_timing=not args.no_timing)
     print(f"analysis written to {report.out_dir}")
     for gap in report.gaps:
         print(f"gap: {gap}")
@@ -159,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--runs", nargs="+", required=True, help="run directories to analyse")
     p_an.add_argument("--out", required=True)
     p_an.add_argument("--no-timing", action="store_true")
-    p_an.add_argument("--no-similarity", action="store_true")
     p_an.set_defaults(fn=_cmd_analyze)
 
     p_rep = sub.add_parser("report", help="render a plain-text report from emitted CSVs")

@@ -49,9 +49,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return NUM_RESERVED + len(self._tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids or token in RESERVED_TOKENS
-
     def id_of(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
 

@@ -34,6 +34,7 @@ from .metrics import corpus_bleu, output_similarity_bleu, paired_bootstrap
 from .model import ModelConfig, init_parameters, load_checkpoint, save_checkpoint
 from .tempering import TemperingConfig, entropy_views
 from .training import (
+    ExperimentRecord,
     TaskData,
     TrainerConfig,
     average_checkpoints,
@@ -524,11 +525,9 @@ class AnalysisReport:
     gaps: list[str]
 
 
-def run_analysis(run_dirs: list, out_dir, with_timing: bool = True, with_similarity: bool = True) -> AnalysisReport:
+def run_analysis(run_dirs: list, out_dir, with_timing: bool = True) -> AnalysisReport:
     """Cross-run report: entropy and gradient-norm curves per temperature,
     greedy-vs-beam similarity, and decoding speed ratios."""
-    from .training import ExperimentRecord
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     gaps: list[str] = []
@@ -579,55 +578,53 @@ def run_analysis(run_dirs: list, out_dir, with_timing: bool = True, with_similar
                 f"final raw-view entropy {record.steps[-1].raw_entropy:.4f} nats"
             )
 
-    if with_similarity or with_timing:
-        models = {}
-        for rd, meta, _ in loaded:
-            try:
-                mdl, _step = load_checkpoint(rd / "average.npz")
-                cfg = config_from_dict(meta["config"])
-                data = build_task_data(cfg)
-                models[rd] = (mdl, data, meta)
-            except (OSError, KeyError, TemperlabError) as exc:
-                gaps.append(f"run {rd}: cannot rebuild decode model ({exc})")
+    models = {}
+    for rd, meta, _ in loaded:
+        try:
+            mdl, _step = load_checkpoint(rd / "average.npz")
+            cfg = config_from_dict(meta["config"])
+            data = build_task_data(cfg)
+            models[rd] = (mdl, data, meta)
+        except (OSError, KeyError, TemperlabError) as exc:
+            gaps.append(f"run {rd}: cannot rebuild decode model ({exc})")
 
-        if with_similarity:
-            for rd, (mdl, data, meta) in models.items():
-                bc = BeamConfig(beam_size=4, length_penalty_alpha=1.0, max_length=data.decode_max_length)
-                sim = output_similarity_bleu(
-                    greedy_outputs(mdl, data, "test"), beam_outputs(mdl, data, "test", bc)
-                )
-                sim_rows.append([meta["temperature"], sim, meta["config_hash"]])
-                summary.append(f"T={meta['temperature']:g}: greedy-beam4 similarity BLEU {sim:.2f}")
-            _write_csv(
-                out / "similarity.csv",
-                ["temperature", "similarity_bleu", "config_hash"],
-                sorted(sim_rows),
-            )
+    for rd, (mdl, data, meta) in models.items():
+        bc = BeamConfig(beam_size=4, length_penalty_alpha=1.0, max_length=data.decode_max_length)
+        sim = output_similarity_bleu(
+            greedy_outputs(mdl, data, "test"), beam_outputs(mdl, data, "test", bc)
+        )
+        sim_rows.append([meta["temperature"], sim, meta["config_hash"]])
+        summary.append(f"T={meta['temperature']:g}: greedy-beam4 similarity BLEU {sim:.2f}")
+    _write_csv(
+        out / "similarity.csv",
+        ["temperature", "similarity_bleu", "config_hash"],
+        sorted(sim_rows),
+    )
 
-        if with_timing and models:
-            rd0 = next(iter(models))
-            mdl, data, meta = models[rd0]
-            sources = [data.src_vocab.encode(s) for s, _ in data.test]
-            for row in time_decoding(mdl, sources, data.decode_max_length):
-                timing_rows.append(
-                    [
-                        row["mode"],
-                        row["beam_size"],
-                        row["alpha"],
-                        row["median_wall_s"],
-                        row["slowdown_vs_greedy"],
-                        meta["config_hash"],
-                    ]
-                )
-                if row["mode"] != "greedy":
-                    summary.append(
-                        f"greedy is {row['slowdown_vs_greedy']:.2f}x faster than {row['mode']}"
-                    )
-            _write_csv(
-                out / "timing.csv",
-                ["mode", "beam_size", "alpha", "median_wall_s", "slowdown_vs_greedy", "config_hash"],
-                timing_rows,
+    if with_timing and models:
+        rd0 = next(iter(models))
+        mdl, data, meta = models[rd0]
+        sources = [data.src_vocab.encode(s) for s, _ in data.test]
+        for row in time_decoding(mdl, sources, data.decode_max_length):
+            timing_rows.append(
+                [
+                    row["mode"],
+                    row["beam_size"],
+                    row["alpha"],
+                    row["median_wall_s"],
+                    row["slowdown_vs_greedy"],
+                    meta["config_hash"],
+                ]
             )
+            if row["mode"] != "greedy":
+                summary.append(
+                    f"greedy is {row['slowdown_vs_greedy']:.2f}x faster than {row['mode']}"
+                )
+        _write_csv(
+            out / "timing.csv",
+            ["mode", "beam_size", "alpha", "median_wall_s", "slowdown_vs_greedy", "config_hash"],
+            timing_rows,
+        )
 
     with open(out / "summary.txt", "w", encoding="utf-8") as fh:
         fh.write("analysis summary\n================\n")

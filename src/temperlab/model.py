@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tt
 from .data import PAD_ID
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ContractError, DataError
 from .tensor import Tensor
 
 Array = np.ndarray
@@ -127,11 +129,24 @@ def _sinusoidal_positions(max_positions: int, dim: int) -> Array:
 
 
 class TransformerModel:
-    """Parameter collection plus forward passes; owns no training state."""
+    """Parameter vector plus forward passes; owns no training state.
 
-    def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
+    `flat` holds every parameter in `parameter_layout` order as one float64
+    vector, and `params[name]` is a tracked `Tensor` viewing its slice, so a
+    write through either is seen by both.
+    """
+
+    def __init__(self, config: ModelConfig, flat: Array):
         self.config = config
-        self.params = params
+        layout = parameter_layout(config)
+        sizes = [math.prod(shape) for _, shape, _ in layout]
+        if flat.dtype != np.float64 or flat.shape != (sum(sizes),):
+            raise ContractError(f"parameter vector {flat.dtype}{flat.shape}, the layout needs float64({sum(sizes)},)")
+        self.flat = flat
+        parts = np.split(flat, np.cumsum(sizes)[:-1])
+        self.params = {
+            name: Tensor(part.reshape(shape), tracked=True) for (name, shape, _), part in zip(layout, parts)
+        }
         self._positions = _sinusoidal_positions(config.max_positions, config.model_dim)
 
     # -- structure ---------------------------------------------------------
@@ -412,18 +427,17 @@ def init_parameters(config: ModelConfig, seed: int) -> TransformerModel:
             "vocabulary sizes must be resolved to positive values before initialisation"
         )
     rng = np.random.default_rng(seed)
-    params: dict[str, Tensor] = {}
-    for name, shape, init in parameter_layout(config):
+    parts = []
+    for _name, shape, init in parameter_layout(config):
         if init == "glorot":
-            arr = _glorot(rng, *shape)
+            parts.append(_glorot(rng, *shape).ravel())
         else:
-            arr = np.ones(shape) if init == "ones" else np.zeros(shape)
-        params[name] = Tensor(arr, tracked=True)
-    return TransformerModel(config, params)
+            parts.append(np.full(math.prod(shape), 1.0 if init == "ones" else 0.0))
+    return TransformerModel(config, np.concatenate(parts))
 
 
 def parameter_count(model: TransformerModel) -> int:
-    return sum(p.size for p in model.params.values())
+    return model.flat.size
 
 
 def save_checkpoint(path, model: TransformerModel, step: int) -> None:
@@ -438,20 +452,23 @@ def save_checkpoint(path, model: TransformerModel, step: int) -> None:
 def load_checkpoint(path) -> tuple[TransformerModel, int]:
     """Inverse of `save_checkpoint`; the arrays must match the names and
     shapes of the stored configuration's `parameter_layout`."""
-    with np.load(path, allow_pickle=False) as zf:
-        try:
-            config = ModelConfig(**json.loads(str(zf["__config__"])))
-        except (TypeError, json.JSONDecodeError, ConfigError) as exc:
-            raise DataError(f"checkpoint {path} has a malformed configuration: {exc}") from exc
-        step = int(zf["__step__"])
-        arrays = {name: zf[name] for name in zf.files if name not in ("__config__", "__step__")}
+    try:
+        with np.load(path, allow_pickle=False) as zf:
+            stored = {name: zf[name] for name in zf.files}
+    except (ValueError, TypeError, zipfile.BadZipFile) as exc:
+        raise DataError(f"checkpoint {path} is not an .npz archive: {exc}") from exc
+    try:
+        config = ModelConfig(**json.loads(str(stored.pop("__config__"))))
+        step = int(stored.pop("__step__"))
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataError(f"checkpoint {path} has a malformed configuration: {exc}") from exc
     expected = {name: shape for name, shape, _ in parameter_layout(config)}
-    found = {name: arr.shape for name, arr in arrays.items()}
+    found = {name: arr.shape for name, arr in stored.items()}
     if found != expected:
         name = min(n for n in expected.keys() | found.keys() if found.get(n) != expected.get(n))
         raise DataError(
             f"checkpoint parameter {name} has shape {found.get(name)}, the stored "
             f"configuration needs {expected.get(name)} (None: no such parameter)"
         )
-    params = {name: Tensor(arrays[name], tracked=True) for name in expected}
-    return TransformerModel(config, params), step
+    flat = np.concatenate([stored[name].ravel() for name in expected], dtype=np.float64)
+    return TransformerModel(config, flat), step

@@ -28,8 +28,8 @@ Array = np.ndarray
 class Tensor:
     """Dense float64 array plus a flag marking gradient-tape participation.
 
-    Tensors are treated as immutable once created; training replaces
-    parameter tensors wholesale instead of mutating them in place.
+    Tensors are treated as immutable once created; training replaces the
+    parameter vector wholesale instead of mutating it in place.
     """
 
     __slots__ = ("array", "tracked")

@@ -112,13 +112,11 @@ class ExperimentRecord:
 
 @dataclass
 class Checkpoint:
-    """Copied parameter snapshot; `source_steps` lists the constituent steps
-    when the snapshot is an average of several."""
+    """Copy of a model's parameter vector at one training step."""
 
-    params: dict[str, Array]
+    flat: Array
     config: ModelConfig
     step: int
-    source_steps: tuple[int, ...] = ()
 
     @property
     def checkpoint_id(self) -> str:
@@ -126,42 +124,27 @@ class Checkpoint:
 
 
 def snapshot(model: TransformerModel, step: int) -> Checkpoint:
-    return Checkpoint(
-        params={name: p.array.copy() for name, p in model.params.items()},
-        config=model.config,
-        step=step,
-        source_steps=(step,),
-    )
+    return Checkpoint(flat=model.flat.copy(), config=model.config, step=step)
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> TransformerModel:
-    params = {name: Tensor(arr.copy(), tracked=True) for name, arr in ckpt.params.items()}
-    return TransformerModel(ckpt.config, params)
+    return TransformerModel(ckpt.config, ckpt.flat.copy())
 
 
 def average_checkpoints(checkpoints: list[Checkpoint]) -> Checkpoint:
-    """Arithmetic mean per parameter over snapshots sharing names/shapes."""
+    """Arithmetic mean of the parameter vectors of snapshots of one model
+    configuration; the step is the latest of theirs."""
     if not checkpoints:
         raise ContractError("cannot average an empty checkpoint list")
-    names = list(checkpoints[0].params.keys())
+    first = checkpoints[0]
     for ck in checkpoints[1:]:
-        if list(ck.params.keys()) != names:
-            raise ContractError("checkpoints disagree on parameter names")
-        for name in names:
-            if ck.params[name].shape != checkpoints[0].params[name].shape:
-                raise ContractError(f"checkpoints disagree on the shape of {name}")
+        if ck.config != first.config or ck.flat.shape != first.flat.shape:
+            raise ContractError("checkpoints disagree on the model configuration")
     # anchored mean: bitwise identity for identical snapshots (deltas are 0),
     # and a better-conditioned sum in general
-    averaged = {}
-    for name in names:
-        first = checkpoints[0].params[name]
-        deltas = np.mean([ck.params[name] - first for ck in checkpoints], axis=0)
-        averaged[name] = first + deltas
+    deltas = np.mean([ck.flat - first.flat for ck in checkpoints], axis=0)
     return Checkpoint(
-        params=averaged,
-        config=checkpoints[0].config,
-        step=max(ck.step for ck in checkpoints),
-        source_steps=tuple(ck.step for ck in checkpoints),
+        flat=first.flat + deltas, config=first.config, step=max(ck.step for ck in checkpoints)
     )
 
 
@@ -175,7 +158,8 @@ def should_stop(history: list[float], patience: int, min_delta: float) -> bool:
 
 
 def global_gradient_norm(grads: dict[str, Array]) -> float:
-    """L2 norm over the concatenation of all parameter gradients."""
+    """L2 norm over the concatenation of all parameter gradients, summed per
+    tensor: one sum over the flat gradient rounds differently."""
     total = 0.0
     for g in grads.values():
         total += float((g * g).sum())
@@ -183,25 +167,32 @@ def global_gradient_norm(grads: dict[str, Array]) -> float:
 
 
 class AdamState:
+    """Adam's moment vectors over a model's parameter vector, updated in place."""
+
     def __init__(self, params: dict[str, Tensor]):
-        self.m = {name: np.zeros_like(p.array) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.array) for name, p in params.items()}
+        size = sum(p.size for p in params.values())
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._scratch = (np.empty(size), np.empty(size))
         self.t = 0
 
-    def update(
-        self, params: dict[str, Tensor], grads: dict[str, Array], lr: float, cfg: TrainerConfig
-    ) -> dict[str, Tensor]:
+    def update(self, flat: Array, grad: Array, lr: float, cfg: TrainerConfig) -> Array:
+        """The parameter vector after one Adam step from `flat`, as a new one.
+        In place, yet in the operation order of m = b1 m + (1 - b1) g,
+        v = b2 v + (1 - b2) g g and flat - lr mhat / (sqrt(vhat) + eps)."""
         self.t += 1
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-        out: dict[str, Tensor] = {}
-        for name, p in params.items():
-            g = grads[name]
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            mhat = self.m[name] / (1.0 - b1**self.t)
-            vhat = self.v[name] / (1.0 - b2**self.t)
-            out[name] = Tensor(p.array - lr * mhat / (np.sqrt(vhat) + cfg.adam_eps), tracked=True)
-        return out
+        a, b = self._scratch
+        self.m *= b1
+        self.m += np.multiply(grad, 1.0 - b1, out=a)
+        self.v *= b2
+        self.v += np.multiply(np.multiply(grad, 1.0 - b2, out=a), grad, out=a)
+        np.sqrt(np.divide(self.v, 1.0 - b2**self.t, out=a), out=a)  # sqrt(vhat)
+        a += cfg.adam_eps
+        np.divide(self.m, 1.0 - b1**self.t, out=b)  # mhat
+        b *= lr
+        b /= a
+        return flat - b
 
 
 @dataclass
@@ -251,7 +242,8 @@ def train_step(
         name: grad_map.get(p, np.zeros_like(p.array)) for name, p in model.params.items()
     }
     norm = global_gradient_norm(grads)
-    new_params = adam.update(model.params, grads, learning_rate(step, trainer), trainer)
+    grad = np.concatenate([g.ravel() for g in grads.values()])
+    new_flat = adam.update(model.flat, grad, learning_rate(step, trainer), trainer)
     tempered_h, raw_h = entropy_views(logits.array, batch.target_mask, tempering.temperature)
     record = StepRecord(
         step=step,
@@ -261,7 +253,7 @@ def train_step(
         grad_norm=norm,
         wall_s=time.perf_counter() - t0,
     )
-    return TransformerModel(model.config, new_params), record
+    return TransformerModel(model.config, new_flat), record
 
 
 def tail_grad_norm(norms: list[float]) -> float:

@@ -1,0 +1,33 @@
+"""The benchmark under `perfbench/` drives temperlab through its public
+names and never changes with it, so a change under `src/` must keep every
+name and behaviour it uses. This runs the benchmark's own tracer and the
+set-up and warm-up of its `train` and `greedy` workloads against the
+current sources."""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_benchmark_workloads_run_on_the_current_api(monkeypatch):
+    monkeypatch.setattr(sys, "path", [str(PERFBENCH), *sys.path])
+    import tracer
+    import workloads
+
+    t = tracer.Tracer()
+    try:
+        t.install()  # fails if a wrapped function or method is gone
+        train = workloads.Train(0)
+        train.setup()
+        train.warm_up()
+        assert t.spans(0, t.mark()).calls("training.adam") == workloads.WARM_UP_OPS
+        assert train._finite_differences() == []
+
+        decode = workloads.Decode(0, beam=False)
+        decode.setup()
+        decode.warm_up()
+        probe = decode.probe()
+        assert sorted(probe) == sorted(tracer.PREFIX_LENGTHS)
+    finally:
+        t.uninstall()

@@ -287,7 +287,7 @@ def test_multilingual_experiment_trains(tmp_path):
 
 def test_analysis_outputs(tmp_path, micro_run):
     _cfg, _run, out = micro_run
-    report = run_analysis([out], tmp_path, with_timing=True, with_similarity=True)
+    report = run_analysis([out], tmp_path, with_timing=True)
     assert (tmp_path / "entropy_curves.csv").exists()
     assert (tmp_path / "gradnorm_curves.csv").exists()
     assert (tmp_path / "similarity.csv").exists()
@@ -306,7 +306,7 @@ def test_analysis_reports_gaps_for_unreadable_runs(tmp_path, micro_run):
     _cfg, _run, out = micro_run
     missing = tmp_path / "not-a-run"
     missing.mkdir()
-    report = run_analysis([out, missing], tmp_path / "out", with_timing=False, with_similarity=False)
+    report = run_analysis([out, missing], tmp_path / "out", with_timing=False)
     assert any("not-a-run" in g for g in report.gaps)
     with pytest.raises(ConfigError):
         run_analysis([missing], tmp_path / "out2")
@@ -465,6 +465,13 @@ def test_cli_decode_malformed_checkpoint_config_is_data_error(tmp_path, capsys):
     edit_stored_config(tmp_path / "model.npz", extra=1)
     assert main(args) == 3
     assert "malformed configuration" in capsys.readouterr().err
+
+
+def test_cli_decode_text_file_checkpoint_is_data_error(tmp_path, capsys):
+    args = decode_args(tmp_path, "a b\n")
+    (tmp_path / "model.npz").write_text("not a checkpoint\n", encoding="utf-8")
+    assert main(args) == 3
+    assert "not an .npz archive" in capsys.readouterr().err
 
 
 def test_cli_unreadable_files_exit_codes(tmp_path, capsys):

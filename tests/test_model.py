@@ -328,12 +328,18 @@ def edit_stored_config(path, **changes):
     np.savez(path, **payload)
 
 
-@pytest.mark.parametrize("changes", [{"extra": 1}, {"num_heads": 3}])
+@pytest.mark.parametrize("changes", [{"extra": 1}, {"num_heads": 3}, None])
 def test_checkpoint_with_malformed_config_is_data_error(tmp_path, changes):
-    # an unknown key fails the ModelConfig call, a bad value its validation
+    # an unknown key fails the ModelConfig call, a bad value its validation;
+    # None drops the archive's step entry
     path = tmp_path / "model.npz"
     save_checkpoint(path, small_model(seed=8), step=1)
-    edit_stored_config(path, **changes)
+    if changes is None:
+        with np.load(path) as zf:
+            payload = {k: zf[k] for k in zf.files if k != "__step__"}
+        np.savez(path, **payload)
+    else:
+        edit_stored_config(path, **changes)
     with pytest.raises(DataError, match="malformed configuration"):
         load_checkpoint(path)
 

@@ -11,7 +11,7 @@ from temperlab.data import PAD_ID, build_vocabulary, encode_pairs, pad_batch
 from temperlab.errors import ConfigError, ContractError, NumericError
 from temperlab.model import ModelConfig, init_parameters
 from temperlab.tempering import TemperingConfig, smoothed_label_array, tempered_loss
-from temperlab.tensor import GradientTape, backward
+from temperlab.tensor import GradientTape, Tensor, backward
 from temperlab.training import (
     AdamState,
     Checkpoint,
@@ -119,39 +119,90 @@ def test_average_of_identical_snapshots_is_identity():
     cks = [snapshot(model, step=s) for s in (10, 20, 30)]
     avg = average_checkpoints(cks)
     eps = np.finfo(np.float64).eps
-    for name, arr in avg.params.items():
-        orig = model.params[name].array
-        denom = np.maximum(np.abs(orig), np.finfo(np.float64).tiny)
-        assert np.max(np.abs(arr - orig) / denom) <= eps, name  # within 1 ulp
-    assert avg.source_steps == (10, 20, 30)
+    denom = np.maximum(np.abs(model.flat), np.finfo(np.float64).tiny)
+    assert np.max(np.abs(avg.flat - model.flat) / denom) <= eps  # within 1 ulp
     assert avg.step == 30
 
 
 def test_average_of_zero_and_two_is_one():
-    base = Checkpoint(params={"w": np.zeros((2, 2))}, config=None, step=1)
-    other = Checkpoint(params={"w": np.full((2, 2), 2.0)}, config=None, step=2)
+    base = Checkpoint(flat=np.zeros(4), config=None, step=1)
+    other = Checkpoint(flat=np.full(4, 2.0), config=None, step=2)
     avg = average_checkpoints([base, other])
-    assert np.array_equal(avg.params["w"], np.ones((2, 2)))
+    assert np.array_equal(avg.flat, np.ones(4))
 
 
 def test_average_permutation_invariant():
     rng = np.random.default_rng(0)
     cks = [
-        Checkpoint(params={"w": rng.uniform(-1, 1, size=(4, 4))}, config=None, step=i)
+        Checkpoint(flat=rng.uniform(-1, 1, size=16), config=None, step=i)
         for i in range(5)
     ]
     a = average_checkpoints(cks)
     b = average_checkpoints(list(reversed(cks)))
-    assert np.max(np.abs(a.params["w"] - b.params["w"])) <= 1e-15
+    assert np.max(np.abs(a.flat - b.flat)) <= 1e-15
 
 
 def test_average_shape_mismatch_rejected():
-    a = Checkpoint(params={"w": np.zeros(3)}, config=None, step=1)
-    b = Checkpoint(params={"w": np.zeros(4)}, config=None, step=2)
+    a = Checkpoint(flat=np.zeros(3), config=None, step=1)
+    b = Checkpoint(flat=np.zeros(4), config=None, step=2)
     with pytest.raises(ContractError):
         average_checkpoints([a, b])
     with pytest.raises(ContractError):
         average_checkpoints([])
+
+
+# ---------------------------------------------------------------------------
+# Adam and the training step
+
+
+def test_adam_update_equals_per_tensor_reference_bitwise():
+    # the plain per-tensor expressions, in their operation order; the
+    # in-place update over the flat vector must give the same bits
+    rng = np.random.default_rng(4)
+    shapes = [(30, 40), (40,), (20, 50), (7,)]
+    ref = {f"p{i}": rng.uniform(-1, 1, size=s) for i, s in enumerate(shapes)}
+    adam = AdamState({n: Tensor(a, tracked=True) for n, a in ref.items()})
+    flat = np.concatenate([a.ravel() for a in ref.values()])
+    m = {n: np.zeros_like(a) for n, a in ref.items()}
+    v = {n: np.zeros_like(a) for n, a in ref.items()}
+    cfg = TrainerConfig(lr_scale=5.0, warmup_steps=2)
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    for t in (1, 2, 3):
+        grads = {n: rng.normal(scale=10.0 ** rng.integers(-4, 2), size=a.shape) for n, a in ref.items()}
+        lr = learning_rate(t, cfg)
+        flat = adam.update(flat, np.concatenate([g.ravel() for g in grads.values()]), lr, cfg)
+        for n, g in grads.items():
+            m[n] = b1 * m[n] + (1.0 - b1) * g
+            v[n] = b2 * v[n] + (1.0 - b2) * g * g
+            mhat = m[n] / (1.0 - b1**t)
+            vhat = v[n] / (1.0 - b2**t)
+            ref[n] = ref[n] - lr * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+        for got, want in ((flat, ref), (adam.m, m), (adam.v, v)):
+            assert got.tobytes() == np.concatenate([a.ravel() for a in want.values()]).tobytes(), t
+
+
+def test_train_step_leaves_its_input_model_unchanged():
+    data = micro_data()
+    model = micro_model(data)
+    flat = model.flat.copy()
+    arrays = {name: p.array.copy() for name, p in model.params.items()}
+    batch = pad_batch(encode_pairs(data.train[:4], data.src_vocab, data.tgt_vocab))
+    new, _rec = train_step(
+        model, batch, TemperingConfig(2.0, True, 0.1), TrainerConfig(), AdamState(model.params),
+        step=1, rng=np.random.default_rng(0),
+    )
+    assert model.flat.tobytes() == flat.tobytes()
+    for name, p in model.params.items():
+        assert p.array.tobytes() == arrays[name].tobytes(), name
+    assert not np.shares_memory(new.flat, model.flat)
+    assert new.flat.tobytes() != flat.tobytes()
+    for name, p in new.params.items():
+        assert np.shares_memory(p.array, new.flat), name
+    start = 0
+    for p in new.params.values():  # the views tile the vector in layout order
+        assert p.array.tobytes() == new.flat[start : start + p.size].tobytes()
+        start += p.size
+    assert start == new.flat.size
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +354,6 @@ def test_record_structure_and_monotone_steps():
         assert 0.0 <= s.tempered_entropy <= np.log(vocab) + 1e-9
         assert 0.0 <= s.raw_entropy <= np.log(vocab) + 1e-9
         assert s.grad_norm >= 0.0
-    assert all(len(c.source_steps) == 1 for c in res.checkpoints)
 
 
 def test_early_stopping_halts_within_one_interval(trained_copy):
