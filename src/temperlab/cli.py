@@ -84,8 +84,8 @@ def _cmd_decode(args) -> int:
     if args.max_length + 1 > limit:
         raise ConfigError(f"--max-length {args.max_length} plus BOS exceeds max_positions {limit}")
     for number, src in enumerate(sources, start=1):
-        if len(src) > limit:
-            raise DataError(f"input line {number} has {len(src)} tokens; max_positions is {limit}")
+        if not 0 < len(src) <= limit:
+            raise DataError(f"input line {number} has {len(src)} tokens; it needs 1 to max_positions ({limit})")
     hyps, wall_ns = decode_corpus(model, sources, beam_cfg)
     out_tokens = [tgt_vocab.decode(h.surface()) for h in hyps]
     write_hypotheses(args.output, out_tokens)

@@ -14,8 +14,8 @@ Training and teacher-forced scoring run on the tape. Decoding runs an
 incremental decoder on plain arrays (`decode_start`, `decode_next`,
 `decode_reorder`): it caches the self-attention keys and values, as in
 fairseq's incremental decoding, and calls the same forward halves
-(`tensor.attention_weights`, `layer_norm_forward`, `feed_forward`) as the
-tape does.
+(`tensor.embedding`, `split_heads`, `attention_weights`, `merge_heads`,
+`layer_norm_forward`, `feed_forward`) as the tape's primitives do.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import tensor as tt
 from .data import PAD_ID
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, NumericError
 from .tensor import Tensor
 
 Array = np.ndarray
@@ -139,14 +139,13 @@ class TransformerModel:
     def __init__(self, config: ModelConfig, flat: Array):
         self.config = config
         layout = parameter_layout(config)
-        sizes = [math.prod(shape) for _, shape, _ in layout]
-        if flat.dtype != np.float64 or flat.shape != (sum(sizes),):
-            raise ContractError(f"parameter vector {flat.dtype}{flat.shape}, the layout needs float64({sum(sizes)},)")
+        size = sum(math.prod(shape) for _, shape, _ in layout)
+        if flat.dtype != np.float64 or flat.shape != (size,):
+            raise ContractError(f"parameter vector {flat.dtype}{flat.shape}, the layout needs float64({size},)")
+        if not np.all(np.isfinite(flat)):
+            raise NumericError("parameter vector holds non-finite values")
         self.flat = flat
-        parts = np.split(flat, np.cumsum(sizes)[:-1])
-        self.params = {
-            name: Tensor(part.reshape(shape), tracked=True) for (name, shape, _), part in zip(layout, parts)
-        }
+        self.params = {name: tt.wrap(view, tracked=True) for name, view in _views(flat, layout).items()}
         self._positions = _sinusoidal_positions(config.max_positions, config.model_dim)
 
     # -- structure ---------------------------------------------------------
@@ -167,52 +166,25 @@ class TransformerModel:
     def _embed(self, table_name: str, ids: Array, rate: float, train: bool, rng) -> Tensor:
         cfg = self.config
         if ids.shape[-1] > cfg.max_positions:
-            raise DataError(
-                f"sequence length {ids.shape[-1]} exceeds max_positions {cfg.max_positions}"
-            )
-        x = tt.embed(self.params[table_name], ids)
-        x = tt.scale(x, np.sqrt(cfg.model_dim))
-        pos = np.broadcast_to(self._positions[: ids.shape[-1]], x.shape).copy()
-        x = tt.add(x, Tensor(pos))
+            raise DataError(f"sequence length {ids.shape[-1]} exceeds max_positions {cfg.max_positions}")
+        x = tt.embed(self.params[table_name], ids, self._positions[: ids.shape[-1]])
         if train and rate > 0.0:
             x = tt.dropout(x, rate, rng)
         return x
 
-    def _split_heads(self, x: Tensor, batch: int, length: int) -> Tensor:
-        cfg = self.config
-        head_dim = cfg.model_dim // cfg.num_heads
-        x = tt.reshape(x, (batch, length, cfg.num_heads, head_dim))
-        return tt.transpose(x, (0, 2, 1, 3))
-
     def _attention(
-        self,
-        prefix: str,
-        query_in: Tensor,
-        key_in: Tensor,
-        mask: Array | None,
-        train: bool,
-        rng,
+        self, prefix: str, query_in: Tensor, key_in: Tensor, mask: Array | None, train: bool, rng
     ) -> Tensor:
         cfg = self.config
         p = self.params
-        batch, q_len, _ = query_in.shape
-        k_len = key_in.shape[1]
-        head_dim = cfg.model_dim // cfg.num_heads
-
         q = tt.bias_add(tt.matmul(query_in, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
         k = tt.bias_add(tt.matmul(key_in, p[f"{prefix}.wk"]), p[f"{prefix}.bk"])
         v = tt.bias_add(tt.matmul(key_in, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
-        q = self._split_heads(q, batch, q_len)
-        k = self._split_heads(k, batch, k_len)
-        v = self._split_heads(v, batch, k_len)
-
         keep = None
         if train and cfg.attention_dropout > 0.0:
-            shape = (batch, cfg.num_heads, q_len, k_len)
+            shape = (query_in.shape[0], cfg.num_heads, query_in.shape[1], key_in.shape[1])
             keep = tt.dropout_mask(shape, cfg.attention_dropout, rng)
-        ctx = tt.attention(q, k, v, 1.0 / np.sqrt(head_dim), mask, keep)
-        ctx = tt.transpose(ctx, (0, 2, 1, 3))
-        ctx = tt.reshape(ctx, (batch, q_len, cfg.model_dim))
+        ctx = tt.attention(q, k, v, cfg.num_heads, mask, keep)
         return tt.bias_add(tt.matmul(ctx, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
@@ -315,20 +287,11 @@ class TransformerModel:
         p = self.params
         return x @ p[f"{prefix}.w{which}"].array + p[f"{prefix}.b{which}"].array
 
-    def _heads(self, x: Array) -> Array:
-        """[rows, len, model_dim] -> [rows, heads, len, head_dim]"""
-        cfg = self.config
-        rows, length, _ = x.shape
-        x = x.reshape(rows, length, cfg.num_heads, cfg.model_dim // cfg.num_heads)
-        return x.transpose(0, 2, 1, 3)
-
     def _attend(self, prefix: str, q: Array, keys: Array, values: Array, mask: Array | None) -> Array:
         """Attention core and output projection for [rows, heads, 1, head_dim]
         queries against cached keys and values."""
-        cfg = self.config
-        c = 1.0 / np.sqrt(cfg.model_dim // cfg.num_heads)
-        ctx = tt.attention_weights(q, keys, c, mask) @ values
-        return self._linear(ctx.transpose(0, 2, 1, 3).reshape(-1, 1, cfg.model_dim), prefix, "o")
+        ctx = tt.attention_weights(q, keys, mask) @ values
+        return self._linear(tt.merge_heads(ctx), prefix, "o")
 
     def _norm(self, x: Array, branch: Array, ln_prefix: str) -> Array:
         p = self.params
@@ -343,10 +306,9 @@ class TransformerModel:
         head_dim = cfg.model_dim // cfg.num_heads
         cross_keys, cross_values = [], []
         for li in range(1 if cfg.recurrent_stacking else cfg.num_layers):
-            k = self._heads(self._linear(encoded.memory, f"dec{li}.cross", "k"))
-            v = self._heads(self._linear(encoded.memory, f"dec{li}.cross", "v"))
+            k, v = (tt.split_heads(self._linear(encoded.memory, f"dec{li}.cross", w), cfg.num_heads) for w in "kv")
             cross_keys.append(np.ascontiguousarray(k.swapaxes(-1, -2)))
-            cross_values.append(np.ascontiguousarray(v))
+            cross_values.append(v)
         return DecoderState(
             cross_keys=cross_keys,
             cross_values=cross_values,
@@ -370,14 +332,14 @@ class TransformerModel:
         tokens = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
         self._check_ids(tokens, cfg.target_vocab, "target")
         p = self.params
-        y = p["tgt_embed"].array[tokens] * np.sqrt(cfg.model_dim) + self._positions[pos]
+        y = tt.embedding(p["tgt_embed"].array, tokens, self._positions[pos : pos + 1])
         for i in range(cfg.num_layers):
             li = self._layer_index(i)
-            q, k, v = (self._heads(self._linear(y, f"dec{li}.self", w)) for w in "qkv")
+            q, k, v = (tt.split_heads(self._linear(y, f"dec{li}.self", w), cfg.num_heads) for w in "qkv")
             keys = state.self_keys[i] = np.concatenate([state.self_keys[i], k.swapaxes(-1, -2)], axis=-1)
             values = state.self_values[i] = np.concatenate([state.self_values[i], v], axis=-2)
             y = self._norm(y, self._attend(f"dec{li}.self", q, keys, values, None), f"dec{li}.ln1")
-            q = self._heads(self._linear(y, f"dec{li}.cross", "q"))
+            q = tt.split_heads(self._linear(y, f"dec{li}.cross", "q"), cfg.num_heads)
             keys, values = state.cross_keys[li], state.cross_values[li]
             y = self._norm(y, self._attend(f"dec{li}.cross", q, keys, values, state.cross_mask), f"dec{li}.ln2")
             ff = tt.feed_forward(y, *(p[f"dec{li}.ff.{n}"].array for n in ("w1", "b1", "w2", "b2")))
@@ -419,6 +381,13 @@ def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], st
     return layout + [("out_w", (d, tgt), "glorot"), ("out_b", (tgt,), "zeros")]
 
 
+def _views(flat: Array, layout: list) -> dict[str, Array]:
+    """Every parameter's view of `flat`, which holds them in `layout` order."""
+    sizes = [math.prod(shape) for _, shape, _ in layout]
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return {name: part.reshape(shape) for (name, shape, _), part in zip(layout, parts)}
+
+
 def init_parameters(config: ModelConfig, seed: int) -> TransformerModel:
     """Deterministic initialisation: scaled-uniform (Glorot) matrices drawn
     in `parameter_layout` order, zero biases, unit norm gains."""
@@ -451,24 +420,32 @@ def save_checkpoint(path, model: TransformerModel, step: int) -> None:
 
 def load_checkpoint(path) -> tuple[TransformerModel, int]:
     """Inverse of `save_checkpoint`; the arrays must match the names and
-    shapes of the stored configuration's `parameter_layout`."""
+    shapes of the stored configuration's `parameter_layout`. Each array is
+    copied into its slice of one preallocated vector as it is read, so at
+    most one of them is held besides the vector."""
     try:
         with np.load(path, allow_pickle=False) as zf:
-            stored = {name: zf[name] for name in zf.files}
+            try:
+                config = ModelConfig(**json.loads(str(zf["__config__"])))
+                step = int(zf["__step__"])
+            except (KeyError, TypeError, ValueError, ConfigError) as exc:
+                raise DataError(f"checkpoint {path} has a malformed configuration: {exc}") from exc
+            layout = parameter_layout(config)
+            flat = np.empty(sum(math.prod(shape) for _, shape, _ in layout))
+            views = _views(flat, layout)
+            expected = {name: view.shape for name, view in views.items()}
+            found = {}
+            for name in set(zf.files) - {"__config__", "__step__"}:
+                arr = zf[name]
+                found[name] = arr.shape
+                if arr.shape == expected.get(name):
+                    views[name][...] = arr
     except (ValueError, TypeError, zipfile.BadZipFile) as exc:
         raise DataError(f"checkpoint {path} is not an .npz archive: {exc}") from exc
-    try:
-        config = ModelConfig(**json.loads(str(stored.pop("__config__"))))
-        step = int(stored.pop("__step__"))
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise DataError(f"checkpoint {path} has a malformed configuration: {exc}") from exc
-    expected = {name: shape for name, shape, _ in parameter_layout(config)}
-    found = {name: arr.shape for name, arr in stored.items()}
     if found != expected:
         name = min(n for n in expected.keys() | found.keys() if found.get(n) != expected.get(n))
         raise DataError(
             f"checkpoint parameter {name} has shape {found.get(name)}, the stored "
             f"configuration needs {expected.get(name)} (None: no such parameter)"
         )
-    flat = np.concatenate([stored[name].ravel() for name in expected], dtype=np.float64)
     return TransformerModel(config, flat), step

@@ -2,18 +2,19 @@
 
 Only the primitives a small encoder-decoder needs are implemented: matmul
 (plain and leading-batch), elementwise arithmetic, row softmax and
-log-softmax, layer norm, the attention core, the feed-forward block,
-embedding lookup, shape moves, and inverted dropout. Storage is row-major
-float64 throughout; every backward rule is hand-written and checked
-against central finite differences in the test suite. Broadcasting is
-deliberately restricted to bias-add, masks and row-wise ops so each rule
-stays auditable.
+log-softmax, layer norm, multi-head attention, the feed-forward block,
+the scaled embedding plus positions, shape moves, and inverted dropout.
+Storage is row-major float64 throughout; every backward rule is
+hand-written and checked against central finite differences in the test
+suite. Broadcasting is deliberately restricted to bias-add, masks,
+positions and row-wise ops so each rule stays auditable.
 
 `softmax` and `log_softmax` are the package's one stable softmax pair, on
 plain arrays; the primitives, the tempering diagnostics and decoding use it.
-Likewise `attention_weights`, `layer_norm_forward` and `feed_forward` are
-the plain-array forward halves of `attention`, `layer_norm` and `ffn`, so
-the tape and the cached decoder compute the same expressions.
+Likewise `embedding`, `attention_weights`, `layer_norm_forward` and
+`feed_forward` are the plain-array forward halves of `embed`, `attention`,
+`layer_norm` and `ffn`, and `split_heads`/`merge_heads` are the one head
+layout, so the tape and the cached decoder compute the same expressions.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ class Tensor:
         return f"Tensor(shape={self.shape}, tracked={self.tracked})"
 
 
-def _result(arr: Array, tracked: bool) -> Tensor:
-    # Internal constructor for op outputs: skips the finiteness scan, which
-    # is guaranteed by construction for finite inputs (stable softmax etc.).
+def wrap(arr: Array, tracked: bool) -> Tensor:
+    """A tensor over `arr` as it is, with no copy and no finiteness scan:
+    for op outputs, finite by construction for finite inputs (stable softmax
+    etc.), and for the views of a parameter vector that was scanned whole."""
     t = object.__new__(Tensor)
     t.array = arr
     t.tracked = tracked
@@ -106,7 +108,7 @@ def _active_tape() -> GradientTape | None:
 def _emit(arr: Array, inputs: tuple[Tensor, ...], backward) -> Tensor:
     tape = _active_tape()
     tracked = tape is not None and any(t.tracked for t in inputs)
-    out = _result(arr, tracked)
+    out = wrap(arr, tracked)
     if tracked:
         tape.nodes.append(_Node(out, inputs, backward))
     return out
@@ -280,30 +282,44 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     return _emit(out, (x, gain, bias), bwd)
 
 
-def attention_weights(q: Array, k_t: Array, c: float, mask: Array | None) -> Array:
-    """softmax(q @ k_t * c + mask) on plain arrays: the forward half of
-    `attention` before its optional dropout. `k_t` holds the keys with
-    their last two axes swapped; `mask` is additive and broadcast."""
-    scores = (q @ k_t) * c
+def split_heads(x: Array, heads: int) -> Array:
+    """[rows, len, model_dim] -> contiguous [rows, heads, len, head_dim]."""
+    rows, length, dim = x.shape
+    return np.ascontiguousarray(x.reshape(rows, length, heads, dim // heads).transpose(0, 2, 1, 3))
+
+
+def merge_heads(x: Array) -> Array:
+    """The inverse of `split_heads`; it copies only where no view exists."""
+    rows, heads, length, head_dim = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(rows, length, heads * head_dim)
+
+
+def attention_weights(q: Array, k_t: Array, mask: Array | None) -> Array:
+    """softmax(q @ k_t / sqrt(head_dim) + mask) on plain [..., heads, len,
+    head_dim] queries: the forward half of `attention` before its optional
+    dropout. `k_t` holds the keys with their last two axes swapped; `mask`
+    is additive and broadcast."""
+    scores = (q @ k_t) * (1.0 / np.sqrt(q.shape[-1]))
     if mask is not None:
         scores = scores + mask
     return softmax(scores)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, c: float, mask: Array | None, keep: Array | None) -> Tensor:
-    """Scaled dot-product attention core over [..., len, head_dim] operands:
-    `attention_weights(q, kᵀ, c, mask)`, times the dropout multiplier
-    `keep` when given, then times `v`. The backward is the chain rule
-    through those steps in reverse."""
-    c = float(c)
-    qm, vm = q.array, v.array
-    k_t = np.ascontiguousarray(k.array.swapaxes(-1, -2))
-    w = attention_weights(qm, k_t, c, mask)
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Array | None, keep: Array | None) -> Tensor:
+    """Multi-head scaled dot-product attention over [batch, len, model_dim]
+    projections: split into `heads`, `attention_weights`, times the dropout
+    multiplier `keep` when given, times the values, heads merged again. The
+    backward is the chain rule through those steps in reverse."""
+    qm, vm = split_heads(q.array, heads), split_heads(v.array, heads)
+    k_t = np.ascontiguousarray(split_heads(k.array, heads).swapaxes(-1, -2))
+    c = 1.0 / np.sqrt(qm.shape[-1])
+    w = attention_weights(qm, k_t, mask)
     if not np.all(np.isfinite(w)):
         raise NumericError("attention: non-finite scores")
     wd = w if keep is None else w * keep
 
     def bwd(g: Array):
+        g = split_heads(g, heads)
         g_w = g @ vm.swapaxes(-1, -2)
         g_v = wd.swapaxes(-1, -2) @ g
         if keep is not None:
@@ -311,9 +327,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, c: float, mask: Array | None, kee
         g_s = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True)) * c
         g_q = g_s @ k_t.swapaxes(-1, -2)
         g_k = (qm.swapaxes(-1, -2) @ g_s).swapaxes(-1, -2)
-        return g_q, g_k, g_v
+        return merge_heads(g_q), merge_heads(g_k), merge_heads(g_v)
 
-    return _emit(wd @ vm, (q, k, v), bwd)
+    return _emit(merge_heads(wd @ vm), (q, k, v), bwd)
 
 
 def feed_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> tuple[Array, Array]:
@@ -341,20 +357,26 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return _emit(out, (x, w1, b1, w2, b2), bwd)
 
 
-def embed(table: Tensor, ids: Array) -> Tensor:
-    """Gather rows of `table` by integer id; backward scatter-adds."""
+def embedding(table: Array, ids: Array, positions: Array) -> Array:
+    """table[ids] * sqrt(dim) + positions on plain arrays, the forward half
+    of `embed`; `positions` [len, dim] is broadcast over the leading axes."""
+    return table[ids] * np.sqrt(table.shape[1]) + positions
+
+
+def embed(table: Tensor, ids: Array, positions: Array) -> Tensor:
+    """Gather rows of `table` by integer id, scale them by sqrt(dim) and add
+    the position rows; backward scatter-adds the scaled gradient."""
     idx = np.asarray(ids)
-    if table.array.ndim != 2:
-        raise ShapeError(f"embed: table must be 2-D, got {table.shape}")
+    if table.array.ndim != 2 or positions.shape != (idx.shape[-1], table.shape[1]):
+        raise ShapeError(f"embed: table {table.shape} and positions {positions.shape} do not fit ids {idx.shape}")
     v, d = table.array.shape
-    out = table.array[idx]
 
     def bwd(g: Array):
         gt = np.zeros((v, d), dtype=np.float64)
-        np.add.at(gt, idx.reshape(-1), g.reshape(-1, d))
+        np.add.at(gt, idx.reshape(-1), (g * np.sqrt(d)).reshape(-1, d))
         return (gt,)
 
-    return _emit(out, (table,), bwd)
+    return _emit(embedding(table.array, idx, positions), (table,), bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -371,7 +393,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """
     if rate == 0.0:
         return x
-    return mul(x, _result(dropout_mask(x.shape, rate, rng), False))
+    return mul(x, wrap(dropout_mask(x.shape, rate, rng), False))
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> Array:
@@ -391,7 +413,7 @@ def finite_difference_gradient(f, x: Tensor, h: float = 1e-5) -> Tensor:
     if h <= 0.0:
         raise ContractError(f"finite difference step must be positive, got {h}")
     base = np.array(x.array, dtype=np.float64)
-    probe = _result(base, False)
+    probe = wrap(base, False)
     flat = base.reshape(-1)
     grad = np.empty_like(flat)
     for i in range(flat.size):
@@ -402,7 +424,7 @@ def finite_difference_gradient(f, x: Tensor, h: float = 1e-5) -> Tensor:
         fm = _scalar(f(probe))
         flat[i] = orig
         grad[i] = (fp - fm) / (2.0 * h)
-    return _result(grad.reshape(x.array.shape), False)
+    return wrap(grad.reshape(x.array.shape), False)
 
 
 def _scalar(value) -> float:

@@ -11,7 +11,9 @@ its thread count), not the code, so after a code change run
     PYTHONPATH=src python3 tests/campaign.py --check
 
 to recompute every cached run's decoding, entropy and gradient-norm fields
-from its cached model and report any that is not bit-equal.
+from its cached model, retrain the first 60 steps of each temperature's
+seed-0 run and compare them with its cached `record.jsonl`, and report any
+value that is not bit-equal.
 """
 
 # temperlab before numpy: importing it pins the BLAS threads, which only
@@ -25,6 +27,7 @@ import json
 import os
 import shutil
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,7 +47,7 @@ from temperlab.experiments import (
 )
 from temperlab.metrics import corpus_bleu, output_similarity_bleu
 from temperlab.model import load_checkpoint
-from temperlab.training import TrainerConfig, beam_outputs, greedy_outputs, tail_grad_norm
+from temperlab.training import ExperimentRecord, TrainerConfig, beam_outputs, greedy_outputs, tail_grad_norm
 
 CAMPAIGN_VERSION = 3
 TEMPERATURES = (1.0, 2.0, 3.0, 5.0)
@@ -58,6 +61,9 @@ CONFIG = ExperimentConfig(
     beam_grid=BeamGridConfig(max_length=25),
 )
 BEAM4 = BeamConfig(beam_size=4, length_penalty_alpha=1.0, max_length=CONFIG.beam_grid.max_length)
+# `--check` retrains this many steps of each temperature's seed-0 run
+RETRAIN_STEPS = 60
+STEP_FIELDS = ("loss", "tempered_entropy", "raw_entropy", "grad_norm")
 
 
 def cache_dir() -> Path:
@@ -122,8 +128,12 @@ def _name(temperature: float, seed: int) -> str:
     return f"run_T{temperature:g}_s{seed}"
 
 
+def _seeded(seed: int) -> ExperimentConfig:
+    return dataclasses.replace(CONFIG, seeds=SeedConfig(model=100 + seed, train=200 + seed))
+
+
 def _run_one(temperature: float, seed: int, out: Path) -> CampaignRun:
-    cfg = dataclasses.replace(CONFIG, seeds=SeedConfig(model=100 + seed, train=200 + seed))
+    cfg = _seeded(seed)
     t0 = time.perf_counter()
     run = run_experiment(cfg, temperature, out / _name(temperature, seed))
     train_wall_s = time.perf_counter() - t0
@@ -175,13 +185,35 @@ def load_campaign_model(run: CampaignRun):
     return model
 
 
+def _retrain_diffs(run: CampaignRun) -> list[str]:
+    """Retrain the first `RETRAIN_STEPS` steps of a cached run and compare
+    each step's `STEP_FIELDS` with its cached `record.jsonl`; the fields of
+    the first step that differs, as `step n field cached -> fresh`."""
+    cfg = _seeded(run.seed)
+    cfg = dataclasses.replace(cfg, trainer=dataclasses.replace(cfg.trainer, max_steps=RETRAIN_STEPS))
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = run_experiment(cfg, run.temperature, tmp).record.steps
+    cached = ExperimentRecord.load_jsonl(Path(run.model_path).parent / "record.jsonl").steps
+    for old, new in zip(cached, fresh):
+        diffs = [
+            f"step {old.step} {f} {getattr(old, f)!r} -> {getattr(new, f)!r}"
+            for f in STEP_FIELDS
+            if getattr(old, f) != getattr(new, f)
+        ]
+        if diffs:
+            return diffs
+    return []
+
+
 def _check_one(path: Path) -> list[str]:
     """The measured fields of one cached run that its cached model no longer
-    reproduces bit for bit, as `field cached -> fresh`."""
+    reproduces bit for bit, as `field cached -> fresh`, and for a seed-0 run
+    the retrained steps that differ from its record."""
     with open(path, encoding="utf-8") as fh:
         run = CampaignRun(**json.load(fh))
     fresh = _measure(load_campaign_model(run), build_task_data(CONFIG), run.temperature, run.grad_norms)
-    return [f"{k} {getattr(run, k)!r} -> {v!r}" for k, v in fresh.items() if getattr(run, k) != v]
+    diffs = [f"{k} {getattr(run, k)!r} -> {v!r}" for k, v in fresh.items() if getattr(run, k) != v]
+    return diffs + (_retrain_diffs(run) if run.seed == 0 else [])
 
 
 def check_campaign() -> int:
@@ -198,7 +230,7 @@ def check_campaign() -> int:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="build (or check) the acceptance campaign cache")
-    parser.add_argument("--check", action="store_true", help="recompute cached runs and compare")
+    parser.add_argument("--check", action="store_true", help="recompute and partly retrain cached runs and compare")
     if parser.parse_args().check:
         sys.exit(check_campaign())
     run_campaign(verbose=True)

@@ -491,6 +491,8 @@ def test_cli_decode_checks_lengths_before_decoding(tmp_path, capsys, monkeypatch
     too_long = " ".join(["a"] * 11)
     assert main(decode_args(tmp_path, f"a b\n{too_long}\n") + ["--max-length", "8"]) == 3
     assert "input line 2 has 11 tokens" in capsys.readouterr().err
+    assert main(decode_args(tmp_path, "a b\n\nc\n") + ["--max-length", "8"]) == 3
+    assert "input line 2 has 0 tokens" in capsys.readouterr().err
     assert main(decode_args(tmp_path, "a b\n") + ["--max-length", "10"]) == 2
     assert "--max-length 10" in capsys.readouterr().err
 

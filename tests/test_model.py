@@ -1,13 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from temperlab.data import EOS_ID, PAD_ID
 from temperlab.decoding import BeamConfig, beam_decode, greedy_decode
-from temperlab.errors import ConfigError, DataError
+from temperlab.errors import ConfigError, DataError, NumericError
 from temperlab.model import (
     ModelConfig,
+    TransformerModel,
     init_parameters,
     load_checkpoint,
     parameter_count,
@@ -300,6 +302,29 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, rng):
         loaded.forward_teacher_forced(src, tgt).array,
         model.forward_teacher_forced(src, tgt).array,
     )
+
+
+def test_checkpoint_load_holds_one_vector_at_a_time(tmp_path):
+    # each stored array is copied into its slice as it is read, so the
+    # arrays and their concatenation are never all held at once
+    model = init_parameters(ModelConfig(source_vocab=68, target_vocab=68), seed=0)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, model, step=1)
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * model.flat.nbytes
+
+
+def test_model_refuses_a_non_finite_parameter_vector():
+    model = small_model()
+    flat = model.flat.copy()
+    flat[7] = np.nan
+    with pytest.raises(NumericError):
+        TransformerModel(model.config, flat)
 
 
 def test_checkpoint_rs_mode_roundtrip(tmp_path):

@@ -93,7 +93,7 @@ def test_row_softmax_closed_form():
 
 
 def test_row_softmax_rejects_non_finite():
-    x = tt._result(np.array([np.inf, 0.0]), False)
+    x = tt.wrap(np.array([np.inf, 0.0]), False)
     with pytest.raises(NumericError):
         tt.row_softmax(x)
 
@@ -177,12 +177,28 @@ def test_layer_norm_gradients(rng):
 # attention core and feed-forward block
 
 
-def attention_chain(q, k, v, c, mask, keep):
-    """The attention core as a chain of the elementary primitives."""
-    scores = tt.scale(tt.matmul(q, tt.transpose(k, (0, 1, 3, 2))), c)
+def attention_chain(q, k, v, heads, mask, keep):
+    """Multi-head attention as a chain of the elementary primitives, with
+    the head split and merge as reshape and transpose nodes."""
+
+    def split(x):
+        batch, length, dim = x.shape
+        return tt.transpose(tt.reshape(x, (batch, length, heads, dim // heads)), (0, 2, 1, 3))
+
+    q, k, v = split(q), split(k), split(v)
+    scores = tt.scale(tt.matmul(q, tt.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(q.shape[-1]))
     scores = tt.add(scores, Tensor(np.broadcast_to(mask, scores.shape).copy()))
     weights = tt.mul(tt.row_softmax(scores), Tensor(keep))
-    return tt.matmul(weights, v)
+    ctx = tt.transpose(tt.matmul(weights, v), (0, 2, 1, 3))
+    return tt.reshape(ctx, ctx.shape[:2] + (-1,))
+
+
+def embed_chain(table, ids, positions):
+    """The embedding as a chain of the elementary primitives: the row gather
+    as a one-hot matmul, then the scale and the position add."""
+    one_hot = Tensor(np.eye(table.shape[0])[ids])
+    x = tt.scale(tt.matmul(one_hot, table), np.sqrt(table.shape[1]))
+    return tt.add(x, Tensor(np.broadcast_to(positions, x.shape).copy()))
 
 
 def ffn_chain(x, w1, b1, w2, b2):
@@ -192,9 +208,11 @@ def ffn_chain(x, w1, b1, w2, b2):
 
 
 def attention_inputs(rng):
-    q, k, v = (Tensor(rng.normal(size=(2, 3, 4, 5)), tracked=True) for _ in range(3))
-    mask = np.where(rng.random((2, 1, 1, 4)) < 0.3, -1e9, 0.0)
-    keep = (rng.random((2, 3, 4, 4)) >= 0.2) / 0.8
+    # 3 heads of dimension 5; 4 queries against 6 keys
+    q = Tensor(rng.normal(size=(2, 4, 15)), tracked=True)
+    k, v = (Tensor(rng.normal(size=(2, 6, 15)), tracked=True) for _ in range(2))
+    mask = np.where(rng.random((2, 1, 1, 6)) < 0.3, -1e9, 0.0)
+    keep = (rng.random((2, 3, 4, 6)) >= 0.2) / 0.8
     return (q, k, v), mask, keep
 
 
@@ -215,9 +233,9 @@ def test_attention_and_ffn_equal_their_primitive_chains_bitwise(rng):
     # the model's tape uses the fused primitives; training bits depend on
     # them computing the same floats as the chains they replace
     (q, k, v), mask, keep = attention_inputs(rng)
-    weight = rng.normal(size=(2, 3, 4, 5))
-    fused = grads_of(lambda *t: tt.attention(*t, 0.3, mask, keep), (q, k, v), weight)
-    chain = grads_of(lambda *t: attention_chain(*t, 0.3, mask, keep), (q, k, v), weight)
+    weight = rng.normal(size=(2, 4, 15))
+    fused = grads_of(lambda *t: tt.attention(*t, 3, mask, keep), (q, k, v), weight)
+    chain = grads_of(lambda *t: attention_chain(*t, 3, mask, keep), (q, k, v), weight)
     assert np.array_equal(fused[0], chain[0])
     assert all(np.array_equal(a, b) for a, b in zip(fused[1], chain[1]))
 
@@ -228,11 +246,21 @@ def test_attention_and_ffn_equal_their_primitive_chains_bitwise(rng):
     assert np.array_equal(fused[0], chain[0])
     assert all(np.array_equal(a, b) for a, b in zip(fused[1], chain[1]))
 
+    # no id occurs more than twice, so any order of summing its gradient
+    # rows gives the same float
+    table = Tensor(rng.normal(size=(7, 4)), tracked=True)
+    ids, positions = np.array([[1, 3, 1], [0, 6, 2]]), rng.normal(size=(3, 4))
+    weight = rng.normal(size=(2, 3, 4))
+    fused = grads_of(lambda t: tt.embed(t, ids, positions), (table,), weight)
+    chain = grads_of(lambda t: embed_chain(t, ids, positions), (table,), weight)
+    assert np.array_equal(fused[0], chain[0])
+    assert np.array_equal(fused[1][0], chain[1][0])
+
 
 def test_attention_and_ffn_gradients_match_finite_differences(rng):
     (q, k, v), mask, keep = attention_inputs(rng)
     for fn, inputs in (
-        (lambda *t: tt.attention(*t, 0.5, mask, keep), (q, k, v)),
+        (lambda *t: tt.attention(*t, 3, mask, keep), (q, k, v)),
         (tt.ffn, ffn_inputs(rng)),
     ):
         weight = rng.normal(size=fn(*inputs).shape)
@@ -345,17 +373,20 @@ def test_repeated_operand_accumulates(rng):
 def test_embed_forward_and_gradient(rng):
     table = Tensor(rng.uniform(-1, 1, size=(7, 4)), tracked=True)
     ids = np.array([[1, 3, 1], [0, 6, 2]])
+    positions = rng.uniform(-1, 1, size=(3, 4))
     with GradientTape() as tape:
-        e = tt.embed(table, ids)
+        e = tt.embed(table, ids, positions)
         loss = tt.sum_all(tt.mul(e, e))
     assert e.shape == (2, 3, 4)
-    assert np.array_equal(e.array[0, 0], table.array[1])
+    assert np.array_equal(e.array[1, 2], table.array[2] * 2.0 + positions[2])
     g = backward(tape, loss)[table]
     fd = finite_difference_gradient(
-        lambda t: tt.sum_all(tt.mul(tt.embed(t, ids), tt.embed(t, ids))), table, h=1e-5
+        lambda t: tt.sum_all(tt.mul(tt.embed(t, ids, positions), tt.embed(t, ids, positions))), table, h=1e-5
     )
     assert rel_err(g, fd.array) < 1e-4
     assert np.allclose(g[4], 0.0)  # id 4 never looked up
+    with pytest.raises(ShapeError):
+        tt.embed(table, ids, positions[:2])
 
 
 def test_dropout_scaling_and_rates(rng):
