@@ -21,6 +21,7 @@ fairseq's incremental decoding, and calls the same forward halves
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import zipfile
@@ -118,13 +119,16 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Array:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+@functools.lru_cache(maxsize=16)
 def _sinusoidal_positions(max_positions: int, dim: int) -> Array:
+    """The position table, built once per shape and shared read-only."""
     pos = np.arange(max_positions, dtype=np.float64)[:, None]
     i = np.arange(dim // 2, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, 2.0 * i / dim)
     table = np.zeros((max_positions, dim), dtype=np.float64)
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles)
+    table.flags.writeable = False
     return table
 
 
@@ -138,14 +142,11 @@ class TransformerModel:
 
     def __init__(self, config: ModelConfig, flat: Array):
         self.config = config
-        layout = parameter_layout(config)
-        size = sum(math.prod(shape) for _, shape, _ in layout)
-        if flat.dtype != np.float64 or flat.shape != (size,):
-            raise ContractError(f"parameter vector {flat.dtype}{flat.shape}, the layout needs float64({size},)")
+        views = parameter_views(config, flat)
         if not np.all(np.isfinite(flat)):
             raise NumericError("parameter vector holds non-finite values")
         self.flat = flat
-        self.params = {name: tt.wrap(view, tracked=True) for name, view in _views(flat, layout).items()}
+        self.params = {name: tt.wrap(view, tracked=True) for name, view in views.items()}
         self._positions = _sinusoidal_positions(config.max_positions, config.model_dim)
 
     # -- structure ---------------------------------------------------------
@@ -177,15 +178,15 @@ class TransformerModel:
     ) -> Tensor:
         cfg = self.config
         p = self.params
-        q = tt.bias_add(tt.matmul(query_in, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
-        k = tt.bias_add(tt.matmul(key_in, p[f"{prefix}.wk"]), p[f"{prefix}.bk"])
-        v = tt.bias_add(tt.matmul(key_in, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
+        q = tt.linear(query_in, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+        k = tt.linear(key_in, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
+        v = tt.linear(key_in, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
         keep = None
         if train and cfg.attention_dropout > 0.0:
             shape = (query_in.shape[0], cfg.num_heads, query_in.shape[1], key_in.shape[1])
             keep = tt.dropout_mask(shape, cfg.attention_dropout, rng)
         ctx = tt.attention(q, k, v, cfg.num_heads, mask, keep)
-        return tt.bias_add(tt.matmul(ctx, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+        return tt.linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
         p = self.params
@@ -229,7 +230,7 @@ class TransformerModel:
             ff = self._ffn(f"dec{li}.ff", y)
             y = self._residual(y, ff, f"dec{li}.ln3", train, rng)
         p = self.params
-        return tt.bias_add(tt.matmul(y, p["out_w"]), p["out_b"])
+        return tt.linear(y, p["out_w"], p["out_b"])
 
     def forward_teacher_forced(
         self,
@@ -306,9 +307,8 @@ class TransformerModel:
         head_dim = cfg.model_dim // cfg.num_heads
         cross_keys, cross_values = [], []
         for li in range(1 if cfg.recurrent_stacking else cfg.num_layers):
-            k, v = (tt.split_heads(self._linear(encoded.memory, f"dec{li}.cross", w), cfg.num_heads) for w in "kv")
-            cross_keys.append(np.ascontiguousarray(k.swapaxes(-1, -2)))
-            cross_values.append(v)
+            cross_keys.append(tt.split_keys(self._linear(encoded.memory, f"dec{li}.cross", "k"), cfg.num_heads))
+            cross_values.append(tt.split_heads(self._linear(encoded.memory, f"dec{li}.cross", "v"), cfg.num_heads))
         return DecoderState(
             cross_keys=cross_keys,
             cross_values=cross_values,
@@ -355,9 +355,11 @@ class TransformerModel:
         state.self_values = [v[parents] for v in state.self_values]
 
 
-def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+@functools.lru_cache(maxsize=16)
+def parameter_layout(config: ModelConfig) -> tuple[tuple[str, tuple[int, ...], str], ...]:
     """(name, shape, initialiser) of every parameter, in initialisation draw
-    order; the initialiser is "glorot", "zeros" or "ones".
+    order; the initialiser is "glorot", "zeros" or "ones". Built once per
+    configuration.
 
     With recurrent stacking only layer 0 exists per stack, so the layer
     parameters of a 1-layer shared model are bitwise identical to the
@@ -378,14 +380,27 @@ def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], st
         for i in range(stack):
             for block, parts in blocks:
                 layout += [(f"{side}{i}.{block}.{p}", shape, init) for p, shape, init in parts]
-    return layout + [("out_w", (d, tgt), "glorot"), ("out_b", (tgt,), "zeros")]
+    return tuple(layout + [("out_w", (d, tgt), "glorot"), ("out_b", (tgt,), "zeros")])
 
 
-def _views(flat: Array, layout: list) -> dict[str, Array]:
-    """Every parameter's view of `flat`, which holds them in `layout` order."""
-    sizes = [math.prod(shape) for _, shape, _ in layout]
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
-    return {name: part.reshape(shape) for (name, shape, _), part in zip(layout, parts)}
+@functools.lru_cache(maxsize=16)
+def _slices(config: ModelConfig) -> tuple[int, tuple[tuple[str, slice, tuple[int, ...]], ...]]:
+    """The parameter count and each parameter's (name, slice, shape) in the
+    flat vector, in `parameter_layout` order."""
+    out, start = [], 0
+    for name, shape, _ in parameter_layout(config):
+        out.append((name, slice(start, start + math.prod(shape)), shape))
+        start += math.prod(shape)
+    return start, tuple(out)
+
+
+def parameter_views(config: ModelConfig, flat: Array) -> dict[str, Array]:
+    """Every parameter's view of `flat`, a float64 vector that holds them
+    in `parameter_layout` order."""
+    size, slices = _slices(config)
+    if flat.dtype != np.float64 or flat.shape != (size,):
+        raise ContractError(f"parameter vector {flat.dtype}{flat.shape}, the layout needs float64({size},)")
+    return {name: flat[part].reshape(shape) for name, part, shape in slices}
 
 
 def init_parameters(config: ModelConfig, seed: int) -> TransformerModel:
@@ -430,9 +445,8 @@ def load_checkpoint(path) -> tuple[TransformerModel, int]:
                 step = int(zf["__step__"])
             except (KeyError, TypeError, ValueError, ConfigError) as exc:
                 raise DataError(f"checkpoint {path} has a malformed configuration: {exc}") from exc
-            layout = parameter_layout(config)
-            flat = np.empty(sum(math.prod(shape) for _, shape, _ in layout))
-            views = _views(flat, layout)
+            flat = np.empty(_slices(config)[0])
+            views = parameter_views(config, flat)
             expected = {name: view.shape for name, view in views.items()}
             found = {}
             for name in set(zf.files) - {"__config__", "__step__"}:

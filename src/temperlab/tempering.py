@@ -7,9 +7,9 @@ magnitudes at the logit level are preserved. Decoding never applies the
 temperature.
 
 `tempered_loss` is the one implementation of the loss: the batched form,
-built out of tape primitives, that training runs. The scalar API
-(`tempered_cross_entropy`, `analytic_logit_gradient`) is a one-row view of
-it, so checks of the scalar loss and its gradient test the training code.
+one `tensor.cross_entropy` node on the tape, that training runs. The scalar
+API (`tempered_cross_entropy`, `analytic_logit_gradient`) is a one-row view
+of it, so checks of the scalar loss and its gradient test the training code.
 """
 
 from __future__ import annotations
@@ -131,23 +131,21 @@ def smoothed_label_array(
 
 
 def tempered_loss(logits: tt.Tensor, labels: Array, token_count: int, cfg: TemperingConfig) -> tt.Tensor:
-    """Per-token mean tempered cross-entropy over a batch, built on the tape.
+    """Per-token mean tempered cross-entropy over a batch, one tape node.
 
     `labels` is a dense [..., vocab] array (zero rows at padding) and
-    `token_count` the number of non-pad target positions.
+    `token_count` the number of non-pad target positions; the labels get no
+    gradient.
     """
+    labels = np.asarray(labels, dtype=np.float64)
     if logits.shape != labels.shape:
         raise ContractError(f"logits {logits.shape} and labels {labels.shape} differ")
     if token_count < 1:
         raise ContractError("loss needs at least one non-pad target token")
-    scaled = tt.scale(logits, 1.0 / cfg.temperature)
-    logp = tt.log_row_softmax(scaled)
-    picked = tt.mul(logp, tt.Tensor(labels))
-    total = tt.sum_all(picked)
     factor = -1.0 / token_count
     if cfg.rescale_loss:
         factor *= cfg.temperature
-    return tt.scale(total, factor)
+    return tt.cross_entropy(logits, labels, 1.0 / cfg.temperature, factor)
 
 
 def entropy_views(logits: Array, token_mask: Array, temperature: float) -> tuple[float, float]:

@@ -9,12 +9,23 @@ hand-written and checked against central finite differences in the test
 suite. Broadcasting is deliberately restricted to bias-add, masks,
 positions and row-wise ops so each rule stays auditable.
 
+Some primitives are one tape node for a chain of elementary ones: `linear`
+for `bias_add(matmul(x, w), b)`; `attention` and `ffn` for the attention
+core and the feed-forward block; `embed` for the gather, scale and position
+add; `dropout` for `mul` by its mask; `cross_entropy` for `scale`,
+`log_row_softmax`, `mul` by the labels, `sum_all` and `scale`. Each computes
+the same floats as the chain it replaces, forward and backward, in the same
+order, so training bits do not depend on which of the two builds the graph
+(`tests/test_tensor.py` checks this bit for bit); the one node saves tape
+nodes, temporaries and the gradients that nothing reads.
+
 `softmax` and `log_softmax` are the package's one stable softmax pair, on
 plain arrays; the primitives, the tempering diagnostics and decoding use it.
 Likewise `embedding`, `attention_weights`, `layer_norm_forward` and
 `feed_forward` are the plain-array forward halves of `embed`, `attention`,
-`layer_norm` and `ffn`, and `split_heads`/`merge_heads` are the one head
-layout, so the tape and the cached decoder compute the same expressions.
+`layer_norm` and `ffn`, and `split_heads`, `split_keys` and `merge_heads`
+are the one head layout, so the tape and the cached decoder compute the
+same expressions.
 """
 
 from __future__ import annotations
@@ -192,9 +203,35 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     return _emit(x.array + bm, (x, b), bwd)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a 2-D `w` and a 1-D `b`: `bias_add(matmul(x, w), b)`
+    as one node."""
+    xm, wm, bm = x.array, w.array, b.array
+    if xm.ndim < 2 or wm.ndim != 2 or xm.shape[-1] != wm.shape[0] or bm.shape != wm.shape[1:]:
+        raise ShapeError(f"linear: input {xm.shape}, weight {wm.shape} and bias {bm.shape} do not fit")
+    out = xm @ wm
+    out += bm
+    k, n = wm.shape
+
+    def bwd(g: Array):
+        g2 = g.reshape(-1, n)
+        return g @ wm.T, xm.reshape(-1, k).T @ g2, g2.sum(axis=0)
+
+    return _emit(out, (x, w, b), bwd)
+
+
+def relu_forward(x: Array) -> Array:
+    """max(x, 0) as a new array, +0.0 wherever x <= 0 (-0.0 included): the
+    floats of `np.where(x > 0.0, x, 0.0)` in a fraction of its time. Adding
+    +0.0 turns a -0.0 into +0.0 and leaves every other value alone."""
+    out = np.maximum(x, 0.0)
+    out += 0.0
+    return out
+
+
 def relu(x: Tensor) -> Tensor:
     keep = x.array > 0.0
-    return _emit(np.where(keep, x.array, 0.0), (x,), lambda g: (g * keep,))
+    return _emit(relu_forward(x.array), (x,), lambda g: (g * keep,))
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -273,11 +310,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     out, xhat, inv = layer_norm_forward(x.array, gain.array, bias.array, eps)
 
     def bwd(g: Array):
+        # inv * (gh - mean(gh) - xhat * mean(gh * xhat)) with gh = g * gain,
+        # in that operation order, on two temporaries
         gh = g * gain.array
-        gx = inv * (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-        ggain = (g * xhat).reshape(-1, d).sum(axis=0)
+        t = gh * xhat
+        m = np.add.reduce(t, axis=-1, keepdims=True) / d
+        gh -= np.add.reduce(gh, axis=-1, keepdims=True) / d
+        gh -= np.multiply(xhat, m, out=t)
+        gh *= inv
+        ggain = np.multiply(g, xhat, out=t).reshape(-1, d).sum(axis=0)
         gbias = g.reshape(-1, d).sum(axis=0)
-        return gx, ggain, gbias
+        return gh, ggain, gbias
 
     return _emit(out, (x, gain, bias), bwd)
 
@@ -286,6 +329,13 @@ def split_heads(x: Array, heads: int) -> Array:
     """[rows, len, model_dim] -> contiguous [rows, heads, len, head_dim]."""
     rows, length, dim = x.shape
     return np.ascontiguousarray(x.reshape(rows, length, heads, dim // heads).transpose(0, 2, 1, 3))
+
+
+def split_keys(x: Array, heads: int) -> Array:
+    """[rows, len, model_dim] -> contiguous [rows, heads, head_dim, len]:
+    `split_heads` with the last two axes swapped, in one copy."""
+    rows, length, dim = x.shape
+    return np.ascontiguousarray(x.reshape(rows, length, heads, dim // heads).transpose(0, 2, 3, 1))
 
 
 def merge_heads(x: Array) -> Array:
@@ -310,8 +360,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Array | None, k
     projections: split into `heads`, `attention_weights`, times the dropout
     multiplier `keep` when given, times the values, heads merged again. The
     backward is the chain rule through those steps in reverse."""
-    qm, vm = split_heads(q.array, heads), split_heads(v.array, heads)
-    k_t = np.ascontiguousarray(split_heads(k.array, heads).swapaxes(-1, -2))
+    qm, vm, k_t = split_heads(q.array, heads), split_heads(v.array, heads), split_keys(k.array, heads)
     c = 1.0 / np.sqrt(qm.shape[-1])
     w = attention_weights(qm, k_t, mask)
     if not np.all(np.isfinite(w)):
@@ -320,11 +369,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Array | None, k
 
     def bwd(g: Array):
         g = split_heads(g, heads)
-        g_w = g @ vm.swapaxes(-1, -2)
+        # g_s = w * (g_w - sum(g_w * w)) * c with g_w the weights' gradient,
+        # in that operation order, in place
+        g_s = g @ vm.swapaxes(-1, -2)
         g_v = wd.swapaxes(-1, -2) @ g
         if keep is not None:
-            g_w = g_w * keep
-        g_s = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True)) * c
+            g_s *= keep
+        g_s -= np.add.reduce(g_s * w, axis=-1, keepdims=True)
+        g_s *= w
+        g_s *= c
         g_q = g_s @ k_t.swapaxes(-1, -2)
         g_k = (qm.swapaxes(-1, -2) @ g_s).swapaxes(-1, -2)
         return merge_heads(g_q), merge_heads(g_k), merge_heads(g_v)
@@ -335,8 +388,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Array | None, k
 def feed_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> tuple[Array, Array]:
     """relu(x @ w1 + b1) @ w2 + b2 on plain arrays: the output and the
     hidden activations, the forward half of `ffn`."""
-    h = x @ w1 + b1
-    h = np.where(h > 0.0, h, 0.0)
+    h = relu_forward(x @ w1 + b1)
     return h @ w2 + b2, h
 
 
@@ -349,7 +401,8 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         d, hidden = w2m.shape[1], w2m.shape[0]
         g_b2 = g.reshape(-1, d).sum(axis=0)
         g_w2 = h.reshape(-1, hidden).T @ g.reshape(-1, d)
-        g_h = (g @ w2m.swapaxes(-1, -2)) * (h > 0.0)
+        g_h = g @ w2m.swapaxes(-1, -2)
+        g_h *= h > 0.0
         g_b1 = g_h.reshape(-1, hidden).sum(axis=0)
         g_w1 = xm.reshape(-1, xm.shape[-1]).T @ g_h.reshape(-1, hidden)
         return g_h @ w1m.swapaxes(-1, -2), g_w1, g_b1, g_w2, g_b2
@@ -372,9 +425,11 @@ def embed(table: Tensor, ids: Array, positions: Array) -> Tensor:
     v, d = table.array.shape
 
     def bwd(g: Array):
-        gt = np.zeros((v, d), dtype=np.float64)
-        np.add.at(gt, idx.reshape(-1), (g * np.sqrt(d)).reshape(-1, d))
-        return (gt,)
+        # np.bincount adds each cell's terms in input order from 0.0, the
+        # floats of np.add.at into zeros, in a fraction of its time
+        cells = (idx.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+        gt = np.bincount(cells, weights=(g * np.sqrt(d)).reshape(-1), minlength=v * d)
+        return (gt.reshape(v, d),)
 
     return _emit(embedding(table.array, idx, positions), (table,), bwd)
 
@@ -385,15 +440,40 @@ def sum_all(x: Tensor) -> Tensor:
     return _emit(out, (x,), lambda g: (np.full(shp, float(g)),))
 
 
+def cross_entropy(logits: Tensor, labels: Array, logit_scale: float, factor: float) -> Tensor:
+    """factor * sum(labels * log_softmax(logits * logit_scale)) as one node:
+    the chain `scale`, `log_row_softmax`, `mul` by the labels, `sum_all`,
+    `scale`. `labels` is a plain array of the logits' shape and gets no
+    gradient."""
+    c, k = float(logit_scale), float(factor)
+    scaled = logits.array * c
+    if not np.all(np.isfinite(scaled)):
+        raise NumericError("cross_entropy: non-finite scaled logits")
+    logp = log_softmax(scaled)
+    out = np.asarray((logp * labels).sum() * k)
+
+    def bwd(g: Array):
+        # the chain's full(shape, g * k) * labels, then the log-softmax and
+        # scale backward, in place
+        g_logp = labels * float(g * k)
+        p = np.exp(logp)
+        p *= np.add.reduce(g_logp, axis=-1, keepdims=True)
+        g_logp -= p
+        g_logp *= c
+        return (g_logp,)
+
+    return _emit(out, (logits,), bwd)
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: kept units are divided by the keep probability.
 
-    The mask multiply is recorded on the tape like any other op, so the
-    backward pass sees exactly the mask used in the forward pass.
-    """
+    The node keeps its mask, so the backward pass sees exactly the mask used
+    in the forward pass; it is `mul` by the mask as one node."""
     if rate == 0.0:
         return x
-    return mul(x, wrap(dropout_mask(x.shape, rate, rng), False))
+    keep = dropout_mask(x.shape, rate, rng)
+    return _emit(x.array * keep, (x,), lambda g: (g * keep,))
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> Array:
@@ -401,7 +481,7 @@ def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) 
     1 / (1 - rate)."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    return (rng.random(shape) >= rate) * (1.0 / (1.0 - rate))
 
 
 def finite_difference_gradient(f, x: Tensor, h: float = 1e-5) -> Tensor:

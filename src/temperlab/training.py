@@ -22,7 +22,7 @@ from .data import PAD_ID, Batch, Pair, Vocabulary, encode_pairs, make_batches
 from .decoding import BeamConfig, beam_decode, greedy_decode_batch
 from .errors import ConfigError, ContractError, NumericError
 from .metrics import corpus_bleu
-from .model import ModelConfig, TransformerModel, save_checkpoint
+from .model import ModelConfig, TransformerModel, parameter_views, save_checkpoint
 from .tempering import TemperingConfig, entropy_views, smoothed_label_array, tempered_loss
 from .tensor import GradientTape, Tensor, backward
 
@@ -238,11 +238,11 @@ def train_step(
     if not np.isfinite(loss_value):
         raise NumericError(f"non-finite loss at step {step} batch {batch.index}")
     grad_map = backward(tape, loss)
-    grads = {
-        name: grad_map.get(p, np.zeros_like(p.array)) for name, p in model.params.items()
-    }
+    grad = np.empty_like(model.flat)
+    grads = parameter_views(model.config, grad)
+    for name, p in model.params.items():
+        grads[name][...] = grad_map.get(p, 0.0)
     norm = global_gradient_norm(grads)
-    grad = np.concatenate([g.ravel() for g in grads.values()])
     new_flat = adam.update(model.flat, grad, learning_rate(step, trainer), trainer)
     tempered_h, raw_h = entropy_views(logits.array, batch.target_mask, tempering.temperature)
     record = StepRecord(

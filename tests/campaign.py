@@ -106,16 +106,21 @@ class CampaignRun:
     model_path: str
 
 
+def greedy_test_outputs(model, data) -> tuple[list, float]:
+    """Greedy test outputs of a run's decode model and their corpus BLEU."""
+    greedy = greedy_outputs(model, data, "test")
+    return greedy, corpus_bleu(greedy, [t for _, t in data.test])
+
+
 def _measure(model, data, temperature: float, grad_norms: list) -> dict:
     """The cached fields that follow from a run's decode model and its
     recorded gradient norms."""
-    refs = [t for _, t in data.test]
-    greedy = greedy_outputs(model, data, "test")
+    greedy, greedy_bleu = greedy_test_outputs(model, data)
     beam = beam_outputs(model, data, "test", BEAM4)
     tempered_h, raw_h = entropy_probe(model, data, temperature)
     return dict(
-        test_greedy_bleu=corpus_bleu(greedy, refs),
-        test_beam4_bleu=corpus_bleu(beam, refs),
+        test_greedy_bleu=greedy_bleu,
+        test_beam4_bleu=corpus_bleu(beam, [t for _, t in data.test]),
         similarity_bleu=output_similarity_bleu(greedy, beam),
         tempered_entropy=tempered_h,
         raw_entropy=raw_h,

@@ -387,3 +387,17 @@ def test_criterion_13_recurrent_stacking():
         ratio < 0.55 and diff <= 1e-12,
         f"shared/dense parameter ratio {ratio:.3f}, depth-1 max diff {diff:.1e}",
     )
+
+
+def test_campaign_cache_is_reproduced_by_the_current_code(campaign_runs):
+    # criteria 6-9 read the cached campaign, whose key covers the
+    # configuration and the numeric environment but not the code; a change
+    # that moves training or decoding bits must fail here, not pass against
+    # stale numbers (bump campaign.CAMPAIGN_VERSION and rebuild instead)
+    from temperlab.experiments import build_task_data
+
+    run = campaign_runs[(2.0, 0)]
+    assert campaign._retrain_diffs(run) == []
+    model = campaign.load_campaign_model(run)
+    _, bleu = campaign.greedy_test_outputs(model, build_task_data(campaign.CONFIG))
+    assert bleu == run.test_greedy_bleu

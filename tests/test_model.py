@@ -179,6 +179,19 @@ def test_dropout_changes_training_forward_but_not_eval(rng):
     assert np.array_equal(e1, e2)
 
 
+def test_desk_training_step_records_seventy_tape_nodes(rng):
+    # one node per embedding, dropout site, linear, attention core, ffn,
+    # residual add and layer norm, and one for the loss: 2 + 24 encoder
+    # nodes, 2 + 40 decoder nodes, the output projection and the loss
+    model = init_parameters(ModelConfig().with_vocabs(11, 13), seed=0)
+    src, tgt = random_batch(rng, model.config)
+    labels = smoothed_label_array(np.roll(tgt, -1, axis=1), 13, 0.1, PAD_ID)
+    with GradientTape() as tape:
+        logits = model.forward_teacher_forced(src, tgt, train=True, rng=np.random.default_rng(0))
+        tempered_loss(logits, labels, tgt.size, TemperingConfig(temperature=2.0))
+    assert len(tape.nodes) == 70
+
+
 # ---------------------------------------------------------------------------
 # gradients through the whole model
 

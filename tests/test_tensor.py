@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import temperlab.tensor as tt
 from temperlab.errors import ConfigError, ContractError, NumericError, ShapeError
+from temperlab.tempering import TemperingConfig, smoothed_label_array, tempered_loss
 from temperlab.tensor import GradientTape, Tensor, backward, finite_difference_gradient
 
 
@@ -207,6 +208,32 @@ def ffn_chain(x, w1, b1, w2, b2):
     return tt.bias_add(tt.matmul(h, w2), b2)
 
 
+def linear_chain(x, w, b):
+    return tt.bias_add(tt.matmul(x, w), b)
+
+
+def loss_chain(logits, labels, token_count, cfg):
+    """The tempered loss as the five-node chain `tempered_loss` replaces."""
+    logp = tt.log_row_softmax(tt.scale(logits, 1.0 / cfg.temperature))
+    factor = -1.0 / token_count
+    if cfg.rescale_loss:
+        factor *= cfg.temperature
+    return tt.scale(tt.sum_all(tt.mul(logp, Tensor(labels))), factor)
+
+
+def loss_inputs(rng):
+    # 2 x 3 target positions over 5 tokens, one of them padding (id 0)
+    ids = np.array([[1, 4, 0], [2, 2, 3]])
+    logits = Tensor(rng.normal(scale=3.0, size=(2, 3, 5)), tracked=True)
+    return logits, ids, int((ids != 0).sum())
+
+
+def dropout_of(rate, seed):
+    """Dropout as a function of its input alone: a fresh generator per call
+    draws the same mask each time."""
+    return lambda x: tt.dropout(x, rate, np.random.default_rng(seed))
+
+
 def attention_inputs(rng):
     # 3 heads of dimension 5; 4 queries against 6 keys
     q = Tensor(rng.normal(size=(2, 4, 15)), tracked=True)
@@ -221,10 +248,15 @@ def ffn_inputs(rng):
     return tuple(Tensor(rng.normal(size=s), tracked=True) for s in shapes)
 
 
+def weighted_sum(out, weight):
+    """sum(out * weight), or `out` itself, a scalar loss, with no weight."""
+    return out if weight is None else tt.sum_all(tt.mul(out, Tensor(weight)))
+
+
 def grads_of(fn, inputs, weight):
     with GradientTape() as tape:
         out = fn(*inputs)
-        loss = tt.sum_all(tt.mul(out, Tensor(weight)))
+        loss = weighted_sum(out, weight)
     grads = backward(tape, loss)
     return out.array, [grads[t] for t in inputs]
 
@@ -255,22 +287,72 @@ def test_attention_and_ffn_equal_their_primitive_chains_bitwise(rng):
     chain = grads_of(lambda t: embed_chain(t, ids, positions), (table,), weight)
     assert np.array_equal(fused[0], chain[0])
     assert np.array_equal(fused[1][0], chain[1][0])
+    # with ids repeated many times, its scatter-add sums in np.add.at's order
+    ids = rng.integers(0, 7, size=(40, 3))
+    weight = rng.normal(size=(40, 3, 4))
+    reference = np.zeros((7, 4))
+    np.add.at(reference, ids.reshape(-1), (weight * 2.0).reshape(-1, 4))
+    assert np.array_equal(grads_of(lambda t: tt.embed(t, ids, positions), (table,), weight)[1][0], reference)
+
+    # through a transpose the gradient reaches the linear node as a
+    # non-contiguous view, as attention's key gradient does in the model; at
+    # these sizes BLAS rounds a contiguous copy of it differently
+    params = tuple(Tensor(rng.normal(size=s), tracked=True) for s in ((4, 6, 32), (32, 32), (32,)))
+    weight = rng.normal(size=(4, 32, 6))
+    fused = grads_of(lambda *t: tt.transpose(tt.linear(*t), (0, 2, 1)), params, weight)
+    chain = grads_of(lambda *t: tt.transpose(linear_chain(*t), (0, 2, 1)), params, weight)
+    assert np.array_equal(fused[0], chain[0])
+    assert all(np.array_equal(a, b) for a, b in zip(fused[1], chain[1]))
+
+    logits, ids, n = loss_inputs(rng)
+    for rescale in (True, False):
+        for smoothing in (0.0, 0.1):
+            cfg = TemperingConfig(temperature=2.5, rescale_loss=rescale, label_smoothing=smoothing)
+            labels = smoothed_label_array(ids, 5, smoothing)
+            fused = grads_of(lambda t: tempered_loss(t, labels, n, cfg), (logits,), None)
+            chain = grads_of(lambda t: loss_chain(t, labels, n, cfg), (logits,), None)
+            assert fused[0].tobytes() == chain[0].tobytes(), (rescale, smoothing)
+            assert np.array_equal(fused[1][0], chain[1][0]), (rescale, smoothing)
+
+    x = Tensor(rng.normal(size=(4, 5, 6)), tracked=True)
+    weight = rng.normal(size=(4, 5, 6))
+    mask = tt.dropout_mask(x.shape, 0.3, np.random.default_rng(9))
+    fused = grads_of(dropout_of(0.3, 9), (x,), weight)
+    chain = grads_of(lambda t: tt.mul(t, Tensor(mask)), (x,), weight)
+    assert np.array_equal(fused[0], chain[0])
+    assert np.array_equal(fused[1][0], chain[1][0])
+
+
+def test_relu_equals_where_bitwise_on_signed_zeros_and_subnormals():
+    # `feed_forward` applies `relu_forward` to its hidden layer
+    tiny = np.finfo(np.float64).smallest_subnormal
+    h = np.array([-0.0, 0.0, tiny, -tiny, 2.0 * tiny, -1.5, 3.0, -np.inf, np.inf])
+    where = np.where(h > 0.0, h, 0.0)
+    for out in (tt.relu_forward(h), tt.relu(tt.wrap(h, False)).array):
+        assert out.tobytes() == where.tobytes()  # -0.0 comes out as +0.0, as np.where gives
 
 
 def test_attention_and_ffn_gradients_match_finite_differences(rng):
     (q, k, v), mask, keep = attention_inputs(rng)
+    logits, ids, n = loss_inputs(rng)
+    cfg = TemperingConfig(temperature=2.5, label_smoothing=0.1)
+    labels = smoothed_label_array(ids, 5, 0.1)
     for fn, inputs in (
         (lambda *t: tt.attention(*t, 3, mask, keep), (q, k, v)),
         (tt.ffn, ffn_inputs(rng)),
+        (tt.linear, ffn_inputs(rng)[:3]),
+        (lambda t: tempered_loss(t, labels, n, cfg), (logits,)),
+        (dropout_of(0.3, 9), (Tensor(rng.normal(size=(4, 5)), tracked=True),)),
     ):
-        weight = rng.normal(size=fn(*inputs).shape)
+        shape = fn(*inputs).shape
+        weight = rng.normal(size=shape) if shape else None
         _, grads = grads_of(fn, inputs, weight)
         for i, (tens, g) in enumerate(zip(inputs, grads)):
 
             def f(t, i=i):
                 args = list(inputs)
                 args[i] = t
-                return tt.sum_all(tt.mul(fn(*args), Tensor(weight)))
+                return weighted_sum(fn(*args), weight)
 
             fd = finite_difference_gradient(f, tens, h=1e-5)
             assert rel_err(g, fd.array, floor=1e-6) < 1e-4, i
