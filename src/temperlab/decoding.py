@@ -18,7 +18,14 @@ with one row per source. Beam search advances all live hypotheses of one
 sentence in one `decode_next` call per length and then reorders the state
 to the survivors. Hypothesis scores divide the summed log probability by a
 length penalty ((5 + len) / 6) ** alpha, where len counts tokens after BOS
-(EOS included).
+(EOS included). Each step of beam search ranks deterministically:
+
+- each live row proposes its `beam_size` best tokens by log probability,
+  ties to the lowest token id;
+- the candidates are ranked by score, ties to row-major order (live row,
+  then the row's own token order);
+- EOS candidates retire into the finished pool in that order, and the first
+  `beam_size` of the rest stay live.
 """
 
 from __future__ import annotations
@@ -76,89 +83,52 @@ def length_penalty(length: int, alpha: float) -> float:
     return ((5.0 + length) / 6.0) ** alpha
 
 
-def _score(log_prob: float, tokens_after_bos: int, alpha: float) -> float:
-    return log_prob / length_penalty(max(1, tokens_after_bos), alpha)
-
-
 def greedy_decode(model, source, max_length: int) -> Hypothesis:
     """Argmax decoding of one sentence; stops at EOS or after max_length
     generated tokens."""
     return greedy_decode_batch(model, [source], max_length)[0]
 
 
-@dataclass
-class _Live:
-    tokens: tuple[int, ...]
-    log_prob: float
-    order: int  # insertion index, the deterministic tie-breaker
-    parent: int = 0  # the decoder-state row this hypothesis extends
-    score: float = 0.0  # length-penalised log_prob, computed once when made
-
-
 def beam_decode(model, source, cfg: BeamConfig) -> list[Hypothesis]:
-    """Standard beam search with a retired pool of finished hypotheses.
+    """Beam search of one sentence, ranked as the module docstring states.
 
-    All live hypotheses advance in one `decode_next` call per length, and
-    the decoder state is then reordered to the surviving ones. Returns
-    finished hypotheses sorted by score descending (ties broken by insertion
-    order). If nothing finishes within max_length, the best unfinished
-    hypothesis is returned, flagged unfinished.
+    Returns at most `beam_size` finished hypotheses, best first, or, if none
+    finishes within max_length, the best live one, flagged unfinished.
     """
-    alpha = cfg.length_penalty_alpha
+    alpha, k = cfg.length_penalty_alpha, cfg.beam_size
     state = model.decode_start(model.encode(np.asarray(source, dtype=np.int64)))
-    live: list[_Live] = [_Live(tokens=(BOS_ID,), log_prob=0.0, order=0)]
+    tokens = np.full((1, 1), BOS_ID, dtype=np.int64)  # [live, length]
+    log_probs = np.zeros(1)
     completed: list[Hypothesis] = []
-    counter = 1
-
-    for _ in range(cfg.max_length):
-        logp_rows = log_softmax(model.decode_next(state, [hyp.tokens[-1] for hyp in live]))
-        candidates: list[_Live] = []
-        for row, (hyp, logp) in enumerate(zip(live, logp_rows)):
-            k = min(cfg.beam_size, logp.shape[0])
-            top = np.argpartition(-logp, k - 1)[:k]
-            top = top[np.lexsort((top, -logp[top]))]  # prob desc, then lowest id
-            for tok in top:
-                log_prob = hyp.log_prob + float(logp[tok])
-                candidates.append(
-                    _Live(
-                        tokens=hyp.tokens + (int(tok),),
-                        log_prob=log_prob,
-                        order=counter,
-                        parent=row,
-                        score=_score(log_prob, len(hyp.tokens), alpha),
-                    )
-                )
-                counter += 1
-        candidates.sort(key=lambda c: (-c.score, c.order))
-        live = []
-        for cand in candidates:
-            if cand.tokens[-1] == EOS_ID:
-                completed.append(
-                    Hypothesis(tokens=cand.tokens, log_prob=cand.log_prob, score=cand.score, finished=True)
-                )
-            elif len(live) < cfg.beam_size:
-                live.append(cand)
-        completed.sort(key=lambda h: -h.score)
-        completed = completed[: cfg.beam_size]
-        if not live:
+    for length in range(1, cfg.max_length + 1):
+        logp = log_softmax(model.decode_next(state, tokens[:, -1]))
+        top = np.argsort(-logp, axis=1, kind="stable")[:, :k]
+        rows, tok = np.repeat(np.arange(len(tokens)), top.shape[1]), top.ravel()
+        sums = log_probs[rows] + logp[rows, tok]
+        scores = sums / length_penalty(length, alpha)
+        ranked = np.lexsort((np.arange(tok.size), -scores))
+        eos = tok[ranked] == EOS_ID
+        completed += [
+            Hypothesis(tuple(tokens[rows[c]].tolist()) + (EOS_ID,), float(sums[c]), float(scores[c]), True)
+            for c in ranked[eos]
+        ]
+        completed = sorted(completed, key=lambda h: -h.score)[:k]
+        keep = ranked[~eos][:k]
+        if keep.size == 0:
             break
-        if len(completed) >= cfg.beam_size:
-            # optimistic bound: log_prob can only fall, the penalty divisor can
-            # only grow to its max_length value, so for log_prob <= 0 no live
-            # hypothesis can beat `bound` later
-            worst = completed[-1].score
-            bound = max(
-                _score(h.log_prob, cfg.max_length, alpha) if h.log_prob < 0.0 else 0.0
-                for h in live
-            )
-            if bound <= worst:
+        tokens = np.concatenate([tokens[rows[keep]], tok[keep, None]], axis=1)
+        log_probs, live_scores = sums[keep], scores[keep]
+        if len(completed) == k:
+            # optimistic bound: log_prob can only fall, and the penalty divisor
+            # can only grow to its max_length value, so no live hypothesis can
+            # beat `bound` later
+            bound = min(log_probs.max(), 0.0) / length_penalty(cfg.max_length, alpha)
+            if bound <= completed[-1].score:
                 break
-        model.decode_reorder(state, [hyp.parent for hyp in live])
-
+        model.decode_reorder(state, rows[keep])
     if completed:
         return completed
-    best = live[0]
-    return [Hypothesis(tokens=best.tokens, log_prob=best.log_prob, score=best.score, finished=False)]
+    return [Hypothesis(tuple(tokens[0].tolist()), float(log_probs[0]), float(live_scores[0]), False)]
 
 
 def greedy_decode_batch(model, sources: list[Array], max_length: int) -> list[Hypothesis]:
@@ -197,10 +167,8 @@ def greedy_decode_batch(model, sources: list[Array], max_length: int) -> list[Hy
         done = EOS_ID in row[1:]
         if done:
             row = row[: row.index(EOS_ID, 1) + 1]
-        lp = float(log_probs[i])
-        out.append(
-            Hypothesis(tokens=tuple(row), log_prob=lp, score=_score(lp, len(row) - 1, 0.0), finished=done)
-        )
+        lp = float(log_probs[i])  # also the score: alpha 0's length penalty is 1.0
+        out.append(Hypothesis(tokens=tuple(row), log_prob=lp, score=lp, finished=done))
     return out
 
 

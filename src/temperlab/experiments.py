@@ -70,6 +70,9 @@ class BeamGridConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A run or sweep; the defaults are the desk scale: noisy copy task,
+    2-layer dim-64 model."""
+
     task: SyntheticTaskSpec = field(default_factory=SyntheticTaskSpec)
     model: ModelConfig = field(default_factory=ModelConfig)
     tempering: TemperingConfig = field(default_factory=TemperingConfig)
@@ -79,15 +82,6 @@ class ExperimentConfig:
     multilingual: bool = False
     output_dir: str = "runs/exp"
     seeds: SeedConfig = field(default_factory=SeedConfig)
-
-
-def default_config() -> ExperimentConfig:
-    """Desk-scale defaults: noisy copy task, 2-layer dim-64 model."""
-    return ExperimentConfig()
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return dataclasses.asdict(cfg)
 
 
 _SECTIONS = {
@@ -135,7 +129,7 @@ def load_config(path=None, overrides=()) -> ExperimentConfig:
     """The JSON config file at `path` (desk defaults when None) with the
     `dotted.key=value` overrides applied."""
     if path is None:
-        raw = config_to_dict(default_config())
+        raw = dataclasses.asdict(ExperimentConfig())
     else:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -179,7 +173,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 def config_hash(cfg: ExperimentConfig) -> str:
     """Stable short hash over everything that affects the numbers (the
     output directory is excluded)."""
-    payload = config_to_dict(cfg)
+    payload = dataclasses.asdict(cfg)
     payload.pop("output_dir", None)
     canon = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
@@ -250,7 +244,7 @@ def run_experiment(cfg: ExperimentConfig, temperature: float, run_dir) -> RunRes
     save_checkpoint(run_dir / "average.npz", decode_model, result.record.steps[-1].step)
     data.src_vocab.save(run_dir / "src_vocab.txt")
     data.tgt_vocab.save(run_dir / "tgt_vocab.txt")
-    _write_json(run_dir / "config.json", cfg, {"config": config_to_dict(cfg), "temperature": temperature})
+    _write_json(run_dir / "config.json", cfg, {"config": dataclasses.asdict(cfg), "temperature": temperature})
     _write_json(
         run_dir / "result.json",
         cfg,
@@ -408,7 +402,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> SweepReport:
             f"sweep temperatures {list(cfg.temperatures)} must differ in their first 6 significant digits"
         )
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "config.json", cfg, {"config": config_to_dict(cfg)})
+    _write_json(out / "config.json", cfg, {"config": dataclasses.asdict(cfg)})
 
     trained = parallel_map(_train_temperature, [(cfg, t, run_dirs[t]) for t in cfg.temperatures])
     rows = [

@@ -47,7 +47,7 @@ class Tensor:
     __slots__ = ("array", "tracked")
 
     def __init__(self, values, tracked: bool = False):
-        arr = np.ascontiguousarray(values, dtype=np.float64)
+        arr = np.asarray(values, dtype=np.float64, order="C")
         if not np.all(np.isfinite(arr)):
             raise NumericError("tensor initialised with non-finite values")
         self.array = arr

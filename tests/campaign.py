@@ -112,15 +112,21 @@ def greedy_test_outputs(model, data) -> tuple[list, float]:
     return greedy, corpus_bleu(greedy, [t for _, t in data.test])
 
 
+def beam4_test_bleu(model, data) -> tuple[list, float]:
+    """Beam-4 test outputs of a run's decode model and their corpus BLEU."""
+    beam = beam_outputs(model, data, "test", BEAM4)
+    return beam, corpus_bleu(beam, [t for _, t in data.test])
+
+
 def _measure(model, data, temperature: float, grad_norms: list) -> dict:
     """The cached fields that follow from a run's decode model and its
     recorded gradient norms."""
     greedy, greedy_bleu = greedy_test_outputs(model, data)
-    beam = beam_outputs(model, data, "test", BEAM4)
+    beam, beam_bleu = beam4_test_bleu(model, data)
     tempered_h, raw_h = entropy_probe(model, data, temperature)
     return dict(
         test_greedy_bleu=greedy_bleu,
-        test_beam4_bleu=corpus_bleu(beam, [t for _, t in data.test]),
+        test_beam4_bleu=beam_bleu,
         similarity_bleu=output_similarity_bleu(greedy, beam),
         tempered_entropy=tempered_h,
         raw_entropy=raw_h,

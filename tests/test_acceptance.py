@@ -399,5 +399,6 @@ def test_campaign_cache_is_reproduced_by_the_current_code(campaign_runs):
     run = campaign_runs[(2.0, 0)]
     assert campaign._retrain_diffs(run) == []
     model = campaign.load_campaign_model(run)
-    _, bleu = campaign.greedy_test_outputs(model, build_task_data(campaign.CONFIG))
-    assert bleu == run.test_greedy_bleu
+    data = build_task_data(campaign.CONFIG)
+    assert campaign.greedy_test_outputs(model, data)[1] == run.test_greedy_bleu
+    assert campaign.beam4_test_bleu(model, data)[1] == run.test_beam4_bleu

@@ -1,8 +1,9 @@
 """The benchmark under `perfbench/` drives temperlab through its public
 names and never changes with it, so a change under `src/` must keep every
-name and behaviour it uses. This runs the benchmark's own tracer and the
-set-up and warm-up of its `train` and `greedy` workloads against the
-current sources."""
+name and behaviour it uses. This runs the benchmark's own tracer, the
+set-up and warm-up of its `train` and `greedy` workloads, and one checked
+round of its `beam` workload over 20 sentences against the current
+sources."""
 
 import sys
 from pathlib import Path
@@ -29,5 +30,13 @@ def test_benchmark_workloads_run_on_the_current_api(monkeypatch):
         decode.warm_up()
         probe = decode.probe()
         assert sorted(probe) == sorted(tracer.PREFIX_LENGTHS)
+
+        # the beam check rescores every hypothesis and wants them best first
+        beam = workloads.Decode(0, beam=True)
+        beam.setup()
+        beam.warm_up()
+        beam.sources = beam.sources[:20]
+        beam.round([])
+        assert beam.check() == []
     finally:
         t.uninstall()

@@ -138,13 +138,29 @@ def test_greedy_tokens_follow_argmax_chain():
 # beam
 
 
+# EOS (id 2) ties with token 3 for the best log probability after every token
+TIED_EOS = np.tile([-1e9, -1e9, -0.2, -0.2, -2.7, -3.0], (6, 1))
+
+
 def test_beam_size_one_alpha_zero_equals_greedy():
-    for seed in range(6):
-        model = TableModel(random_table(seed))
+    # both sum the same log probabilities in the same order, and both break
+    # a tie to the lowest id, so they agree bit for bit
+    for table in [random_table(seed) for seed in range(6)] + [TIED_EOS]:
+        model = TableModel(table)
         greedy = greedy_decode(model, [4], max_length=8)
-        beam = beam_decode(model, [4], BeamConfig(beam_size=1, length_penalty_alpha=0.0, max_length=8))
-        assert beam[0].tokens == greedy.tokens
-        assert beam[0].log_prob == pytest.approx(greedy.log_prob, abs=1e-12)
+        [beam] = beam_decode(model, [4], BeamConfig(beam_size=1, length_penalty_alpha=0.0, max_length=8))
+        assert (beam.tokens, beam.log_prob, beam.score) == (greedy.tokens, greedy.log_prob, greedy.score)
+    assert greedy.tokens == (BOS_ID, EOS_ID)  # on TIED_EOS, the tie goes to EOS
+
+
+def test_beam_survivors_of_a_tie_at_the_kth_place_are_the_lowest_ids():
+    # after BOS, token 3 is best and tokens 4, 5 and 6 tie for second place;
+    # every later token prefers EOS, so the two survivors finish at once
+    table = np.full((7, 7), -1e9)
+    table[BOS_ID, 2:] = [-9.0, 0.0, -1.0, -1.0, -1.0]
+    table[3:, 2:] = [0.0, -5.0, -5.0, -5.0, -5.0]
+    hyps = beam_decode(TableModel(table), [4], BeamConfig(beam_size=2, length_penalty_alpha=1.0, max_length=4))
+    assert [h.tokens for h in hyps] == [(BOS_ID, 3, EOS_ID), (BOS_ID, 4, EOS_ID)]
 
 
 def test_beam_scores_non_increasing():
@@ -192,6 +208,54 @@ def test_wide_beam_matches_exhaustive_enumeration(seed, alpha):
     assert beam[0].tokens == oracle[0][2]
 
 
+def test_hypotheses_hold_plain_python_values():
+    # beam search ranks on arrays; what it returns must not leak numpy scalars
+    table = random_table(7)
+    hyps = beam_decode(TableModel(table), [4], BeamConfig(3, 1.0, 6))
+    table[:, EOS_ID] = -1e9
+    hyps += beam_decode(TableModel(table), [4], BeamConfig(3, 1.0, 6))  # unfinished
+    hyps.append(greedy_decode(TableModel(table), [4], max_length=6))
+    for h in hyps:
+        assert type(h.tokens) is tuple and {type(t) for t in h.tokens} == {int}
+        assert (type(h.log_prob), type(h.score), type(h.finished)) == (float, float, bool)
+    assert not hyps[-2].finished
+
+
+def reference_beam(table, cfg):
+    """The ranking rules of `temperlab.decoding`, one candidate at a time and
+    with no early stop (its bound only skips steps that cannot change the
+    result)."""
+    live, done = [((BOS_ID,), 0.0)], []
+    for length in range(1, cfg.max_length + 1):
+        cands = []
+        for tokens, lp in live:
+            logp = log_softmax(table[tokens[-1]])
+            best = sorted(range(len(logp)), key=lambda t: (-logp[t], t))[: cfg.beam_size]
+            cands += [(tokens + (t,), lp + float(logp[t])) for t in best]
+        penalty = length_penalty(length, cfg.length_penalty_alpha)
+        ranked = sorted(cands, key=lambda c: -c[1] / penalty)  # stable: ties stay row-major
+        done += [Hypothesis(t, lp, lp / penalty, True) for t, lp in ranked if t[-1] == EOS_ID]
+        done = sorted(done, key=lambda h: -h.score)[: cfg.beam_size]
+        live = [c for c in ranked if c[0][-1] != EOS_ID][: cfg.beam_size]
+        if not live:
+            break
+    return done or [Hypothesis(live[0][0], live[0][1], live[0][1] / penalty, False)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-2, 2), min_size=36, max_size=36),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 0.6, 1.0]),
+)
+def test_beam_equals_its_one_candidate_at_a_time_reference_on_tied_tables(cells, beam_size, alpha):
+    # integer logits tie often, at the k-th place and in the ranking
+    table = np.asarray(cells, dtype=np.float64).reshape(6, 6)
+    table[:, [0, 1]] = -1e9
+    cfg = BeamConfig(beam_size, alpha, max_length=5)
+    assert beam_decode(TableModel(table), [4], cfg) == reference_beam(table, cfg)
+
+
 def test_beam_returns_flagged_unfinished_when_eos_unreachable():
     table = random_table(5)
     table[:, EOS_ID] = -1e9
@@ -220,8 +284,8 @@ def test_beam1_equals_greedy_on_trained_model(trained_copy):
     for src_tokens, _ in data.dev[:5]:
         src = data.src_vocab.encode(src_tokens)
         g = greedy_decode(result.model, src, data.decode_max_length)
-        b = beam_decode(result.model, src, BeamConfig(1, 0.0, data.decode_max_length))
-        assert g.tokens == b[0].tokens
+        [b] = beam_decode(result.model, src, BeamConfig(1, 0.0, data.decode_max_length))
+        assert (g.tokens, g.log_prob, g.score, g.finished) == (b.tokens, b.log_prob, b.score, b.finished)
 
 
 def test_batched_greedy_equals_sequential(trained_copy):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import multiprocessing.process
 import os
@@ -10,11 +11,10 @@ from temperlab.cli import main
 from temperlab.data import build_vocabulary, generate_synthetic_corpus
 from temperlab.errors import ConfigError
 from temperlab.experiments import (
+    ExperimentConfig,
     apply_overrides,
     config_from_dict,
     config_hash,
-    config_to_dict,
-    default_config,
     load_config,
     parallel_map,
     run_analysis,
@@ -74,12 +74,13 @@ def read_csv(path):
 
 
 def test_default_config_roundtrips():
-    cfg = default_config()
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    cfg = ExperimentConfig()
+    assert config_from_dict(dataclasses.asdict(cfg)) == cfg
+    assert config_hash(cfg) == "5de06813c280"  # run directories and caches carry it
 
 
 def test_default_config_carries_paper_scale_grids():
-    cfg = default_config()
+    cfg = ExperimentConfig()
     assert cfg.temperatures == (1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 3.0, 4.0, 5.0, 10.0)
     assert cfg.beam_grid.beam_sizes == (2, 4, 6, 8, 10, 12)
     assert cfg.beam_grid.length_penalties == (0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4)
@@ -97,7 +98,7 @@ def test_unknown_keys_rejected():
 
 
 def test_overrides_apply_and_validate():
-    raw = config_to_dict(default_config())
+    raw = dataclasses.asdict(ExperimentConfig())
     raw = apply_overrides(raw, ["tempering.temperature=3.0", "trainer.max_steps=7"])
     cfg = config_from_dict(raw)
     assert cfg.tempering.temperature == 3.0
@@ -122,7 +123,7 @@ def test_load_config_rejects_bad_json(tmp_path):
 
 
 def test_load_config_defaults_and_overrides(tmp_path):
-    assert load_config() == default_config()
+    assert load_config() == ExperimentConfig()
     cfg = load_config(None, ["tempering.temperature=3.0"])
     assert cfg.tempering.temperature == 3.0
     path = tmp_path / "cfg.json"

@@ -16,6 +16,20 @@ def rel_err(a, b, floor=1e-8):
 
 
 # ---------------------------------------------------------------------------
+# construction
+
+
+def test_tensor_keeps_a_scalar_zero_dimensional_and_stores_c_order():
+    scalar = Tensor(3.0)
+    assert scalar.shape == ()
+    assert scalar.item() == 3.0
+    strided = np.arange(12.0).reshape(3, 4).T
+    t = Tensor(strided)
+    assert t.array.flags.c_contiguous
+    assert np.array_equal(t.array, strided)
+
+
+# ---------------------------------------------------------------------------
 # matmul
 
 
