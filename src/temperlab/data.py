@@ -140,9 +140,10 @@ class ParallelCorpus:
         return {"train": self.train, "dev": self.dev, "test": self.test}
 
 
-def _token_name(i: int, alphabet_size: int) -> str:
+def _token_names(alphabet_size: int) -> tuple[str, ...]:
+    """The token of each symbol id, zero-padded to one width."""
     width = len(str(alphabet_size - 1))
-    return f"w{i:0{width}d}"
+    return tuple(f"w{i:0{width}d}" for i in range(alphabet_size))
 
 
 def transduce(kind: str, source: list[int], alphabet_size: int) -> list[int]:
@@ -169,7 +170,7 @@ def _apply_noise(target: list[int], rate: float, rng: np.random.Generator, alpha
         return target
     out = list(target)
     hits = rng.random(len(out)) < rate
-    for i in np.nonzero(hits)[0]:
+    for i in np.flatnonzero(hits).tolist():
         # replace with a uniformly random different symbol
         out[i] = int((out[i] + 1 + rng.integers(alphabet_size - 1)) % alphabet_size)
     return out
@@ -178,7 +179,7 @@ def _apply_noise(target: list[int], rate: float, rng: np.random.Generator, alpha
 def _draw_source(rng: np.random.Generator, spec: SyntheticTaskSpec) -> tuple[int, ...]:
     lo, hi = spec.length_range
     n = int(rng.integers(lo, hi + 1))
-    return tuple(int(v) for v in rng.integers(0, spec.alphabet_size, size=n))
+    return tuple(rng.integers(0, spec.alphabet_size, size=n).tolist())
 
 
 def _make_pairs(
@@ -221,14 +222,10 @@ def generate_synthetic_corpus(spec: SyntheticTaskSpec) -> ParallelCorpus:
     dev, dev_sources = _make_pairs(np.random.default_rng(dev_ss), spec, n_dev, train_sources)
     test, _ = _make_pairs(np.random.default_rng(test_ss), spec, n_test, train_sources | dev_sources)
 
+    names = _token_names(spec.alphabet_size)
+
     def to_tokens(int_pairs) -> list[Pair]:
-        return [
-            (
-                tuple(_token_name(s, spec.alphabet_size) for s in src),
-                tuple(_token_name(t, spec.alphabet_size) for t in tgt),
-            )
-            for src, tgt in int_pairs
-        ]
+        return [(tuple(names[s] for s in src), tuple(names[t] for t in tgt)) for src, tgt in int_pairs]
 
     return ParallelCorpus(train=to_tokens(train), dev=to_tokens(dev), test=to_tokens(test))
 
@@ -259,7 +256,8 @@ def generate_multilingual_corpus(base: SyntheticTaskSpec) -> tuple[ParallelCorpu
         )
     )
     noise_rng = np.random.default_rng(np.random.SeedSequence((base.seed, 9173)))
-    width_tokens = {_token_name(i, base.alphabet_size): i for i in range(base.alphabet_size)}
+    names = _token_names(base.alphabet_size)
+    width_tokens = {name: i for i, name in enumerate(names)}
     out = ParallelCorpus()
     tags = tuple(MULTILINGUAL_TAGS[k] for k in TASK_KINDS)
     for split_name, pairs in shared.splits().items():
@@ -272,7 +270,7 @@ def generate_multilingual_corpus(base: SyntheticTaskSpec) -> tuple[ParallelCorpu
                 bucket.append(
                     (
                         (tag,) + tuple(src_tokens),
-                        tuple(_token_name(t, base.alphabet_size) for t in tgt_ids),
+                        tuple(names[t] for t in tgt_ids),
                     )
                 )
     return out, tags

@@ -8,6 +8,7 @@ carries the hash of the config that produced it.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -349,20 +350,30 @@ def oracle_beam_search(model, data: TaskData, grid: BeamGridConfig) -> tuple[flo
     return best
 
 
-def parallel_map(fn, jobs: list) -> list:
-    """`[fn(job) for job in jobs]`, run in one worker process per job and
-    available CPU when this process may use more than one; otherwise in this
-    process, starting none. `fn` must be a module-level function, and jobs
-    and results must pickle. Workers start with the `spawn` method, so each
-    imports temperlab afresh and inherits the BLAS thread variables that
-    importing temperlab set here."""
-    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+@contextlib.contextmanager
+def worker_pool(size: int):
+    """Yield `map_jobs(fn, jobs)`, which returns `[fn(job) for job in jobs]`.
+
+    The maps of one block share one pool of `min(size, usable CPUs)` worker
+    processes, where `size` is the most jobs one map will get; when that is
+    1 they run in this process, which starts none. `fn` must be a
+    module-level function, and jobs and results must pickle. Workers start
+    with the `spawn` method, so each imports temperlab afresh and inherits
+    the BLAS thread variables that importing temperlab set here."""
+    workers = min(size, len(os.sched_getaffinity(0)))
     if workers <= 1:
-        return [fn(job) for job in jobs]
+        yield lambda fn, jobs: [fn(job) for job in jobs]
+        return
     import multiprocessing  # imported here: in-process maps skip its import time
 
     with multiprocessing.get_context("spawn").Pool(workers) as pool:
-        return pool.map(fn, jobs, chunksize=1)
+        yield lambda fn, jobs: pool.map(fn, jobs, chunksize=1)
+
+
+def parallel_map(fn, jobs: list) -> list:
+    """`[fn(job) for job in jobs]`, run in a `worker_pool` of its own."""
+    with worker_pool(len(jobs)) as map_jobs:
+        return map_jobs(fn, jobs)
 
 
 def _train_temperature(job: tuple[ExperimentConfig, float, Path]) -> tuple[float | None, str | None]:
@@ -391,7 +402,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> SweepReport:
     """Train one model per temperature, pick the best on dev greedy BLEU,
     then evaluate test greedy and the oracle beam grid for every
     temperature. Selection happens strictly before any test decoding. The
-    temperatures train, and then decode, in parallel (`parallel_map`)."""
+    temperatures train, and then decode, in parallel on one `worker_pool`;
+    no decoding job is submitted before the selection."""
     if not cfg.temperatures:
         raise ConfigError("sweep needs at least one temperature")
     out = Path(out_dir)
@@ -404,18 +416,19 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> SweepReport:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", cfg, {"config": dataclasses.asdict(cfg)})
 
-    trained = parallel_map(_train_temperature, [(cfg, t, run_dirs[t]) for t in cfg.temperatures])
-    rows = [
-        SweepRow(temperature=t, status="ok", dev_greedy_bleu=bleu) if error is None
-        else SweepRow(temperature=t, status=f"failed: {error}")
-        for t, (bleu, error) in zip(cfg.temperatures, trained)
-    ]
+    with worker_pool(len(cfg.temperatures)) as map_jobs:
+        trained = map_jobs(_train_temperature, [(cfg, t, run_dirs[t]) for t in cfg.temperatures])
+        rows = [
+            SweepRow(temperature=t, status="ok", dev_greedy_bleu=bleu) if error is None
+            else SweepRow(temperature=t, status=f"failed: {error}")
+            for t, (bleu, error) in zip(cfg.temperatures, trained)
+        ]
 
-    ok_rows = [r for r in rows if r.status == "ok"]
-    t_opt = max(ok_rows, key=lambda r: r.dev_greedy_bleu).temperature if ok_rows else None
+        ok_rows = [r for r in rows if r.status == "ok"]
+        t_opt = max(ok_rows, key=lambda r: r.dev_greedy_bleu).temperature if ok_rows else None
 
-    # test decoding strictly after dev-based selection
-    decoded = parallel_map(_decode_test, [(cfg, run_dirs[r.temperature]) for r in ok_rows])
+        # test decoding strictly after dev-based selection
+        decoded = map_jobs(_decode_test, [(cfg, run_dirs[r.temperature]) for r in ok_rows])
     test_outputs: dict[float, list] = {}
     for row, (outputs, bleu, oracle) in zip(ok_rows, decoded):
         test_outputs[row.temperature] = outputs

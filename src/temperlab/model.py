@@ -94,21 +94,23 @@ class EncodedSource:
 
 @dataclass
 class DecoderState:
-    """Incremental decoding cache for `rows` hypotheses, started by
-    `TransformerModel.decode_start`, grown one token per row by
-    `decode_next` and gathered by `decode_reorder`.
+    """Incremental decoding cache for `rows` hypotheses of one or many
+    sources, started by `TransformerModel.decode_start`, grown one token per
+    row by `decode_next` and gathered by `decode_reorder`.
 
-    The cross-attention keys and values depend only on the sources, so they
-    are computed once and kept per source: row r attends to source r, or,
-    when there is one source (beam search), every row attends to it by
-    broadcasting. The self-attention keys and values grow one position per
-    step at each stack position. Keys are stored with their last two axes
-    swapped, ready for `tensor.attention_weights`.
+    The cross-attention keys and values depend only on the sources, so
+    `decode_start` computes them once, one row per source. They then hold
+    either one row per decoder row, where row r attends to its own source
+    and `decode_reorder` gathers them with the self-attention rows, or a
+    single row, which every decoder row attends to by broadcasting. The
+    self-attention keys and values grow one position per step at each stack
+    position. Keys are stored with their last two axes swapped, ready for
+    `tensor.attention_weights`.
     """
 
-    cross_keys: list[Array]  # per distinct decoder layer: [sources, heads, head_dim, src_len]
-    cross_values: list[Array]  # per distinct decoder layer: [sources, heads, src_len, head_dim]
-    cross_mask: Array  # [sources, 1, 1, src_len], MASK_VALUE at padding
+    cross_keys: list[Array]  # per distinct decoder layer: [rows or 1, heads, head_dim, src_len]
+    cross_values: list[Array]  # per distinct decoder layer: [rows or 1, heads, src_len, head_dim]
+    cross_mask: Array  # [rows or 1, 1, 1, src_len], MASK_VALUE at padding
     self_keys: list[Array]  # per stack position: [rows, heads, head_dim, length]
     self_values: list[Array]  # per stack position: [rows, heads, length, head_dim]
     length: int = 0  # tokens consumed per row; the next one sits at this position
@@ -349,10 +351,16 @@ class TransformerModel:
 
     def decode_reorder(self, state: DecoderState, parents: Array) -> None:
         """Make row j of the cache a copy of row `parents[j]`; the number of
-        rows may change. The per-source cross-attention part is untouched."""
+        rows may change. Cross-attention rows are gathered too when they are
+        one per decoder row, so each row keeps its own source; a single
+        source row stays shared."""
         parents = np.asarray(parents, dtype=np.int64)
         state.self_keys = [k[parents] for k in state.self_keys]
         state.self_values = [v[parents] for v in state.self_values]
+        if state.cross_mask.shape[0] > 1:
+            state.cross_keys = [k[parents] for k in state.cross_keys]
+            state.cross_values = [v[parents] for v in state.cross_values]
+            state.cross_mask = state.cross_mask[parents]
 
 
 @functools.lru_cache(maxsize=16)

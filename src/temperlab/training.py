@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import PAD_ID, Batch, Pair, Vocabulary, encode_pairs, make_batches
-from .decoding import BeamConfig, beam_decode, greedy_decode_batch
+from .decoding import BeamConfig, beam_decode_batch, greedy_decode_batch
 from .errors import ConfigError, ContractError, NumericError
 from .metrics import corpus_bleu
 from .model import ModelConfig, TransformerModel, parameter_views, save_checkpoint
@@ -273,8 +273,7 @@ def beam_outputs(
 ) -> list[tuple[str, ...]]:
     """Target tokens of the best beam hypothesis for every source of a split."""
     sources = [data.src_vocab.encode(src) for src, _ in getattr(data, split)]
-    hyps = [beam_decode(model, src, cfg)[0] for src in sources]
-    return [data.tgt_vocab.decode(h.surface()) for h in hyps]
+    return [data.tgt_vocab.decode(hyps[0].surface()) for hyps in beam_decode_batch(model, sources, cfg)]
 
 
 def evaluate_checkpoint(model: TransformerModel, data: TaskData, split: str = "dev") -> float:

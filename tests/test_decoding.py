@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from temperlab.data import BOS_ID, EOS_ID
@@ -8,6 +8,7 @@ from temperlab.decoding import (
     BeamConfig,
     Hypothesis,
     beam_decode,
+    beam_decode_batch,
     decode_corpus,
     greedy_decode,
     greedy_decode_batch,
@@ -41,6 +42,31 @@ class TableModel:
 
     def decode_reorder(self, state, parents):
         pass
+
+
+class SourceTableModel(TableModel):
+    """One Markov table per source: a source's first token is the index of
+    its table. The state is each row's table index, and every token fed to
+    a source's rows is recorded in `fed`."""
+
+    def __init__(self, tables):
+        self.tables = [np.asarray(t, dtype=np.float64) for t in tables]
+        self.fed = {}
+
+    def encode_batch(self, sources):
+        return [int(s[0]) for s in sources]
+
+    def decode_start(self, encoded):
+        return list(encoded)
+
+    def decode_next(self, state, tokens):
+        tokens = np.asarray(tokens).tolist()
+        for src, tok in zip(state, tokens):
+            self.fed.setdefault(src, []).append(tok)
+        return np.stack([self.tables[src][tok] for src, tok in zip(state, tokens)])
+
+    def decode_reorder(self, state, parents):
+        state[:] = [state[p] for p in parents]
 
 
 def log_softmax(row):
@@ -100,10 +126,27 @@ def test_length_penalty_values():
         length_penalty(0, 1.0)
 
 
-def test_hypothesis_score_recomputable():
-    hyp = Hypothesis(tokens=(BOS_ID, 5, 4, EOS_ID), log_prob=-1.8, score=0.0, finished=True)
-    recomputed = hyp.log_prob / length_penalty(len(hyp.tokens) - 1, 0.7)
-    assert abs(recomputed - (-1.8 / length_penalty(3, 0.7))) <= 1e-12
+def test_hypothesis_score_recomputable(trained_copy):
+    # every hypothesis beam search returns, finished or not, holds its score
+    # as its log probability over its own length's penalty, exactly
+    result, data = trained_copy
+    sources = [data.src_vocab.encode(s) for s, _ in data.dev[:10]]
+    unreachable = random_table(5)
+    unreachable[:, EOS_ID] = -1e9
+    finished = set()
+    for alpha in (0.0, 0.6, 1.0):
+        runs = [
+            (result.model, sources, BeamConfig(4, alpha, data.decode_max_length)),
+            (result.model, sources, BeamConfig(3, alpha, 2)),  # too short to finish
+            (TableModel(random_table(3)), [[4], [4, 5]], BeamConfig(4, alpha, 6)),
+            (TableModel(unreachable), [[4]], BeamConfig(3, alpha, 5)),
+        ]
+        for model, srcs, cfg in runs:
+            for hyps in beam_decode_batch(model, srcs, cfg):
+                for h in hyps:
+                    assert h.score == h.log_prob / length_penalty(len(h.tokens) - 1, alpha)
+                    finished.add(h.finished)
+    assert finished == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +291,24 @@ def reference_beam(table, cfg):
     st.integers(1, 3),
     st.sampled_from([0.0, 0.6, 1.0]),
 )
+@example([0] * 36, 3, 1.0)  # EOS never among a row's best three: unfinished
+# tokens 3 and 4 tie after BOS and have equal rows, so their EOS candidates
+# tie at step 2 and retire in row order
+@example([0] * 6 + [0, 0, -2, 1, 1, -2] + [0] * 6 + [0, 0, 2, 0, 0, 0] * 2 + [0] * 6, 2, 1.0)
 def test_beam_equals_its_one_candidate_at_a_time_reference_on_tied_tables(cells, beam_size, alpha):
     # integer logits tie often, at the k-th place and in the ranking
     table = np.asarray(cells, dtype=np.float64).reshape(6, 6)
     table[:, [0, 1]] = -1e9
     cfg = BeamConfig(beam_size, alpha, max_length=5)
     assert beam_decode(TableModel(table), [4], cfg) == reference_beam(table, cfg)
+    # three sources in one state, each with its own table: the given one,
+    # its rows reversed, and one where EOS is never proposed
+    no_eos = table.copy()
+    no_eos[:, EOS_ID] = -2.5
+    tables = [table, table[::-1], no_eos]
+    batched = beam_decode_batch(SourceTableModel(tables), [[0], [1], [2]], cfg)
+    assert batched == [reference_beam(t, cfg) for t in tables]
+    assert not batched[2][0].finished
 
 
 def test_beam_returns_flagged_unfinished_when_eos_unreachable():
@@ -296,6 +351,42 @@ def test_batched_greedy_equals_sequential(trained_copy):
         single = greedy_decode(result.model, src, data.decode_max_length)
         assert hyp.tokens == single.tokens
         assert hyp.log_prob == pytest.approx(single.log_prob, abs=1e-9)
+
+
+def test_batched_greedy_on_equal_lengths_equals_sequential(trained_copy):
+    # with no padding, a row's arithmetic does not depend on the other rows
+    result, data = trained_copy
+    sources = [data.src_vocab.encode(s) for s, _ in data.dev]
+    length = max({len(s) for s in sources}, key=[len(s) for s in sources].count)
+    sources = [s for s in sources if len(s) == length]
+    assert len(sources) > 3
+    for max_length in (3, data.decode_max_length):
+        batched = greedy_decode_batch(result.model, sources, max_length)
+        assert batched == [greedy_decode(result.model, s, max_length) for s in sources]
+
+
+def test_batched_greedy_feeds_no_row_past_its_eos():
+    tables = [random_table(seed) for seed in range(6)]
+    tables[5][:, EOS_ID] = -1e9  # never finishes
+    model = SourceTableModel(tables)
+    batched = greedy_decode_batch(model, [[i] for i in range(6)], max_length=8)
+    assert len({len(h.tokens) for h in batched}) > 2  # rows finish at different steps
+    for i, hyp in enumerate(batched):
+        assert hyp == greedy_decode(TableModel(tables[i]), [4], max_length=8)
+        assert model.fed[i] == list(hyp.tokens[:-1])  # EOS, or the last token, is never fed
+
+
+@pytest.mark.parametrize("beam_size", [1, 2, 4])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_batched_beam_equals_one_sentence_at_a_time(trained_copy, beam_size, alpha):
+    result, data = trained_copy
+    sources = [data.src_vocab.encode(s) for s, _ in data.dev[:16]]
+    counts = [len(s) for s in sources]
+    sources.append(np.concatenate([sources[0], sources[1]]))  # a length no other source has
+    assert counts.count(len(sources[-1])) == 0
+    assert max(counts.count(n) for n in counts) > 1
+    cfg = BeamConfig(beam_size, alpha, data.decode_max_length)
+    assert beam_decode_batch(result.model, sources, cfg) == [beam_decode(result.model, s, cfg) for s in sources]
 
 
 def test_beam_hypotheses_match_teacher_forced_rescoring(trained_copy):

@@ -220,11 +220,21 @@ def tree(root):
 
 
 def test_sweep_in_workers_equals_sweep_in_process(tmp_path, monkeypatch):
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def count_start(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", count_start)
     cfg = micro_config(temperatures=[1.0, 2.0])
     use_cpus(monkeypatch, 2)
     run_sweep(cfg, tmp_path / "pool")
+    assert len(started) == 2  # one pool trains and then decodes
     use_cpus(monkeypatch, 1)
     run_sweep(cfg, tmp_path / "serial")
+    assert len(started) == 2
     pool, serial = tree(tmp_path / "pool"), tree(tmp_path / "serial")
     assert "runs/T2/average.npz" in pool and "test_greedy_T2.txt" in pool
     assert pool.keys() == serial.keys()
