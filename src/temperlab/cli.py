@@ -18,6 +18,7 @@ from .decoding import BeamConfig, decode_corpus
 from .errors import ConfigError, DataError, NumericError
 from .experiments import (
     ExperimentConfig,
+    build_task_data,
     load_config,
     run_analysis,
     run_experiment,
@@ -38,7 +39,7 @@ def _load_cfg(args) -> ExperimentConfig:
 def _cmd_train(args) -> int:
     cfg = _load_cfg(args)
     out = Path(args.out or cfg.output_dir)
-    run = run_experiment(cfg, cfg.tempering.temperature, out)
+    run = run_experiment(cfg, build_task_data(cfg), cfg.tempering.temperature, out)
     print(
         f"trained T={run.temperature:g} for {run.steps_trained} steps; "
         f"dev greedy BLEU {run.dev_bleu:.2f}; artifacts in {run.run_dir}"

@@ -30,7 +30,7 @@ from .data import (
     make_batches,
 )
 from .decoding import BeamConfig, decode_corpus
-from .errors import ConfigError, TemperlabError
+from .errors import ConfigError, DataError, TemperlabError
 from .metrics import corpus_bleu, output_similarity_bleu, paired_bootstrap
 from .model import ModelConfig, init_parameters, load_checkpoint, save_checkpoint
 from .tempering import TemperingConfig, entropy_views
@@ -139,7 +139,13 @@ def load_config(path=None, overrides=()) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    cfg = config_from_dict(apply_overrides(raw, overrides))
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object, not {type(raw).__name__}")
+    try:
+        cfg = config_from_dict(apply_overrides(raw, overrides))
+    except (TypeError, ValueError, AttributeError) as exc:  # a value of the wrong type or shape
+        source = "the default config" if path is None else f"config file {path}"
+        raise ConfigError(f"{source} has a malformed value: {exc}") from exc
     if cfg.trainer.seed != 0:
         # run_experiment trains with seeds.train; a trainer.seed would change
         # config_hash and nothing else
@@ -220,17 +226,14 @@ class RunResult:
     dev_bleu: float
     steps_trained: int
     run_dir: str
-    record: "object"
-    decode_model: "object"
-    data: TaskData
 
 
-def run_experiment(cfg: ExperimentConfig, temperature: float, run_dir) -> RunResult:
-    """Train one model at `temperature`, average the retained checkpoints,
-    and persist the run artifacts. Test data is not touched here."""
+def run_experiment(cfg: ExperimentConfig, data: TaskData, temperature: float, run_dir) -> RunResult:
+    """Train one model at `temperature` on `data`, the caller's
+    `build_task_data(cfg)`, average the retained checkpoints, and persist
+    the run artifacts. Test data is not touched here."""
     run_dir = Path(run_dir)
     (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
-    data = build_task_data(cfg)
     mcfg = cfg.model.with_vocabs(len(data.src_vocab), len(data.tgt_vocab))
     model = init_parameters(mcfg, cfg.seeds.model)
     trainer = dataclasses.replace(cfg.trainer, seed=cfg.seeds.train)
@@ -240,9 +243,10 @@ def run_experiment(cfg: ExperimentConfig, temperature: float, run_dir) -> RunRes
     averaged = average_checkpoints(result.checkpoints) if result.checkpoints else None
     decode_model = model_from_checkpoint(averaged) if averaged else result.model
     dev_bleu = evaluate_checkpoint(decode_model, data, "dev")
+    steps_trained = result.record.steps[-1].step
 
     result.record.save_jsonl(run_dir / "record.jsonl")
-    save_checkpoint(run_dir / "average.npz", decode_model, result.record.steps[-1].step)
+    save_checkpoint(run_dir / "average.npz", decode_model, steps_trained)
     data.src_vocab.save(run_dir / "src_vocab.txt")
     data.tgt_vocab.save(run_dir / "tgt_vocab.txt")
     _write_json(run_dir / "config.json", cfg, {"config": dataclasses.asdict(cfg), "temperature": temperature})
@@ -254,18 +258,10 @@ def run_experiment(cfg: ExperimentConfig, temperature: float, run_dir) -> RunRes
             "value": dev_bleu,
             "n_sentences": len(data.dev),
             "temperature": temperature,
-            "steps_trained": result.record.steps[-1].step,
+            "steps_trained": steps_trained,
         },
     )
-    return RunResult(
-        temperature=temperature,
-        dev_bleu=dev_bleu,
-        steps_trained=result.record.steps[-1].step,
-        run_dir=str(run_dir),
-        record=result.record,
-        decode_model=decode_model,
-        data=data,
-    )
+    return RunResult(temperature, dev_bleu, steps_trained, str(run_dir))
 
 
 def _format_t(t: float) -> str:
@@ -376,23 +372,22 @@ def parallel_map(fn, jobs: list) -> list:
         return map_jobs(fn, jobs)
 
 
-def _train_temperature(job: tuple[ExperimentConfig, float, Path]) -> tuple[float | None, str | None]:
+def _train_temperature(job: tuple[ExperimentConfig, TaskData, float, Path]) -> tuple[float | None, str | None]:
     """One sweep temperature's `run_experiment`: (dev BLEU, None) or, for a
     failed row, (None, the error text)."""
-    cfg, temperature, run_dir = job
+    cfg, data, temperature, run_dir = job
     try:
-        return run_experiment(cfg, temperature, run_dir).dev_bleu, None
+        return run_experiment(cfg, data, temperature, run_dir).dev_bleu, None
     except TemperlabError as exc:
         return None, str(exc)
 
 
-def _decode_test(job: tuple[ExperimentConfig, Path]) -> tuple[list, float, tuple[float, int, float]]:
+def _decode_test(job: tuple[ExperimentConfig, TaskData, Path]) -> tuple[list, float, tuple[float, int, float]]:
     """Test greedy outputs, their BLEU and the oracle beam grid of the model
     that a run saved in its `average.npz` (bit-equal to the one it
-    evaluated on dev)."""
-    cfg, run_dir = job
+    evaluated on dev), on the sweep's task `data`."""
+    cfg, data, run_dir = job
     model, _step = load_checkpoint(run_dir / "average.npz")
-    data = build_task_data(cfg)
     outputs = test_greedy_outputs(model, data)
     bleu = corpus_bleu(outputs, [t for _, t in data.test])
     return outputs, bleu, oracle_beam_search(model, data, cfg.beam_grid)
@@ -402,6 +397,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> SweepReport:
     """Train one model per temperature, pick the best on dev greedy BLEU,
     then evaluate test greedy and the oracle beam grid for every
     temperature. Selection happens strictly before any test decoding. The
+    task is built once, here, before `out_dir` or any worker exists, so a
+    task error raises `ConfigError` first; every job carries it. The
     temperatures train, and then decode, in parallel on one `worker_pool`;
     no decoding job is submitted before the selection."""
     if not cfg.temperatures:
@@ -413,11 +410,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> SweepReport:
         raise ConfigError(
             f"sweep temperatures {list(cfg.temperatures)} must differ in their first 6 significant digits"
         )
+    data = build_task_data(cfg)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", cfg, {"config": dataclasses.asdict(cfg)})
 
     with worker_pool(len(cfg.temperatures)) as map_jobs:
-        trained = map_jobs(_train_temperature, [(cfg, t, run_dirs[t]) for t in cfg.temperatures])
+        trained = map_jobs(_train_temperature, [(cfg, data, t, run_dirs[t]) for t in cfg.temperatures])
         rows = [
             SweepRow(temperature=t, status="ok", dev_greedy_bleu=bleu) if error is None
             else SweepRow(temperature=t, status=f"failed: {error}")
@@ -428,7 +426,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> SweepReport:
         t_opt = max(ok_rows, key=lambda r: r.dev_greedy_bleu).temperature if ok_rows else None
 
         # test decoding strictly after dev-based selection
-        decoded = map_jobs(_decode_test, [(cfg, run_dirs[r.temperature]) for r in ok_rows])
+        decoded = map_jobs(_decode_test, [(cfg, data, run_dirs[r.temperature]) for r in ok_rows])
     test_outputs: dict[float, list] = {}
     for row, (outputs, bleu, oracle) in zip(ok_rows, decoded):
         test_outputs[row.temperature] = outputs
@@ -437,7 +435,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> SweepReport:
         row.oracle_beam_bleu, row.oracle_beam_size, row.oracle_alpha = oracle
 
     if t_opt is not None and t_opt != 1.0 and 1.0 in test_outputs:
-        refs = [t for _, t in build_task_data(cfg).test]
+        refs = [t for _, t in data.test]
         boot = paired_bootstrap(
             test_outputs[t_opt], test_outputs[1.0], refs, resamples=1000, seed=0
         )
@@ -550,9 +548,11 @@ def run_analysis(run_dirs: list, out_dir, with_timing: bool = True) -> AnalysisR
         try:
             with open(rd / "config.json", encoding="utf-8") as fh:
                 meta = json.load(fh)
+            if not isinstance(meta, dict) or not {"temperature", "config_hash", "config"} <= meta.keys():
+                raise DataError(f"{rd / 'config.json'} lacks temperature, config_hash or config")
             record = ExperimentRecord.load_jsonl(rd / "record.jsonl")
             loaded.append((rd, meta, record))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, DataError) as exc:
             gaps.append(f"run {rd}: unreadable ({exc})")
     if not loaded:
         raise ConfigError("analysis needs at least one readable run directory")
@@ -592,7 +592,7 @@ def run_analysis(run_dirs: list, out_dir, with_timing: bool = True) -> AnalysisR
             cfg = config_from_dict(meta["config"])
             data = build_task_data(cfg)
             models[rd] = (mdl, data, meta)
-        except (OSError, KeyError, TemperlabError) as exc:
+        except (OSError, TypeError, ValueError, TemperlabError) as exc:  # a malformed stored config included
             gaps.append(f"run {rd}: cannot rebuild decode model ({exc})")
 
     for rd, (mdl, data, meta) in models.items():

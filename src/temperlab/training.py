@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import PAD_ID, Batch, Pair, Vocabulary, encode_pairs, make_batches
 from .decoding import BeamConfig, beam_decode_batch, greedy_decode_batch
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError, DataError, NumericError
 from .metrics import corpus_bleu
 from .model import ModelConfig, TransformerModel, parameter_views, save_checkpoint
 from .tempering import TemperingConfig, entropy_views, smoothed_label_array, tempered_loss
@@ -100,13 +100,16 @@ class ExperimentRecord:
     def load_jsonl(cls, path) -> "ExperimentRecord":
         out = cls()
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                row = json.loads(line)
-                kind = row.pop("kind")
-                if kind == "step":
-                    out.steps.append(StepRecord(**row))
-                elif kind == "eval":
-                    out.evals.append(EvalRecord(**row))
+            for number, line in enumerate(fh, start=1):
+                try:
+                    row = json.loads(line)
+                    kind = row.pop("kind")
+                    if kind == "step":
+                        out.steps.append(StepRecord(**row))
+                    elif kind == "eval":
+                        out.evals.append(EvalRecord(**row))
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise DataError(f"{path} line {number} is not a step or eval record: {exc!r}") from exc
         return out
 
 

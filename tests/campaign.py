@@ -2,18 +2,21 @@
 
 Twelve desk-scale runs (temperatures {1, 2, 3, 5} x three seeds) on the
 noisy copy task, each one `run_experiment` of `CONFIG`, built in parallel
-worker processes (`experiments.parallel_map`). Runs are deterministic, so
-finished results are cached on disk keyed by the campaign fingerprint;
-delete the cache directory to force retraining. The key covers the
-configuration and the numeric environment (numpy version, BLAS library and
-its thread count), not the code, so after a code change run
+worker processes (`experiments.parallel_map`). Each job builds the task
+once, trains, and then measures the run from the `average.npz` and
+`record.jsonl` it saved, through the same `_measure` that `--check` uses.
+Runs are deterministic, so finished results are cached on disk keyed by
+the campaign fingerprint; delete the cache directory to force retraining.
+The key covers the configuration and the numeric environment (numpy
+version, BLAS library and its thread count), not the code, so after a
+code change run
 
     PYTHONPATH=src python3 tests/campaign.py --check
 
 to recompute every cached run's decoding, entropy and gradient-norm fields
 from its cached model, retrain the first 60 steps of each temperature's
-seed-0 run and compare them with its cached `record.jsonl`, and report any
-value that is not bit-equal.
+seed-0 run and compare its `record.jsonl` with the cached one, and report
+any value that is not bit-equal.
 """
 
 # temperlab before numpy: importing it pins the BLAS threads, which only
@@ -118,9 +121,10 @@ def beam4_test_bleu(model, data) -> tuple[list, float]:
     return beam, corpus_bleu(beam, [t for _, t in data.test])
 
 
-def _measure(model, data, temperature: float, grad_norms: list) -> dict:
-    """The cached fields that follow from a run's decode model and its
+def _measure(model_path, data, temperature: float, grad_norms: list) -> dict:
+    """The cached fields that follow from a run's saved decode model and its
     recorded gradient norms."""
+    model, _step = load_checkpoint(model_path)
     greedy, greedy_bleu = greedy_test_outputs(model, data)
     beam, beam_bleu = beam4_test_bleu(model, data)
     tempered_h, raw_h = entropy_probe(model, data, temperature)
@@ -144,13 +148,18 @@ def _seeded(seed: int) -> ExperimentConfig:
 
 
 def _run_one(temperature: float, seed: int, out: Path) -> CampaignRun:
+    """Train one run, then measure it from the `average.npz` and
+    `record.jsonl` it saved, as `--check` does."""
     cfg = _seeded(seed)
+    data = build_task_data(cfg)
     t0 = time.perf_counter()
-    run = run_experiment(cfg, temperature, out / _name(temperature, seed))
+    run = run_experiment(cfg, data, temperature, out / _name(temperature, seed))
     train_wall_s = time.perf_counter() - t0
-    shutil.rmtree(Path(run.run_dir) / "checkpoints")  # the cache keeps only the average
+    run_dir = Path(run.run_dir)
+    shutil.rmtree(run_dir / "checkpoints")  # the cache keeps only the average
 
-    grad_norms = [s.grad_norm for s in run.record.steps]
+    grad_norms = [s.grad_norm for s in ExperimentRecord.load_jsonl(run_dir / "record.jsonl").steps]
+    model_path = str(run_dir / "average.npz")
     return CampaignRun(
         temperature=temperature,
         seed=seed,
@@ -158,8 +167,8 @@ def _run_one(temperature: float, seed: int, out: Path) -> CampaignRun:
         train_wall_s=train_wall_s,
         dev_bleu=run.dev_bleu,
         grad_norms=grad_norms,
-        model_path=str(Path(run.run_dir) / "average.npz"),
-        **_measure(run.decode_model, run.data, temperature, grad_norms),
+        model_path=model_path,
+        **_measure(model_path, data, temperature, grad_norms),
     )
 
 
@@ -196,14 +205,16 @@ def load_campaign_model(run: CampaignRun):
     return model
 
 
-def _retrain_diffs(run: CampaignRun) -> list[str]:
-    """Retrain the first `RETRAIN_STEPS` steps of a cached run and compare
-    each step's `STEP_FIELDS` with its cached `record.jsonl`; the fields of
-    the first step that differs, as `step n field cached -> fresh`."""
+def _retrain_diffs(run: CampaignRun, data) -> list[str]:
+    """Retrain the first `RETRAIN_STEPS` steps of a cached run on `data`
+    (`build_task_data(CONFIG)`) and compare each step's `STEP_FIELDS` in
+    the retrained `record.jsonl` with the cached one; the fields of the
+    first step that differs, as `step n field cached -> fresh`."""
     cfg = _seeded(run.seed)
     cfg = dataclasses.replace(cfg, trainer=dataclasses.replace(cfg.trainer, max_steps=RETRAIN_STEPS))
     with tempfile.TemporaryDirectory() as tmp:
-        fresh = run_experiment(cfg, run.temperature, tmp).record.steps
+        run_experiment(cfg, data, run.temperature, tmp)
+        fresh = ExperimentRecord.load_jsonl(Path(tmp) / "record.jsonl").steps
     cached = ExperimentRecord.load_jsonl(Path(run.model_path).parent / "record.jsonl").steps
     for old, new in zip(cached, fresh):
         diffs = [
@@ -222,9 +233,10 @@ def _check_one(path: Path) -> list[str]:
     the retrained steps that differ from its record."""
     with open(path, encoding="utf-8") as fh:
         run = CampaignRun(**json.load(fh))
-    fresh = _measure(load_campaign_model(run), build_task_data(CONFIG), run.temperature, run.grad_norms)
+    data = build_task_data(CONFIG)
+    fresh = _measure(run.model_path, data, run.temperature, run.grad_norms)
     diffs = [f"{k} {getattr(run, k)!r} -> {v!r}" for k, v in fresh.items() if getattr(run, k) != v]
-    return diffs + (_retrain_diffs(run) if run.seed == 0 else [])
+    return diffs + (_retrain_diffs(run, data) if run.seed == 0 else [])
 
 
 def check_campaign() -> int:

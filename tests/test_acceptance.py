@@ -397,8 +397,8 @@ def test_campaign_cache_is_reproduced_by_the_current_code(campaign_runs):
     from temperlab.experiments import build_task_data
 
     run = campaign_runs[(2.0, 0)]
-    assert campaign._retrain_diffs(run) == []
-    model = campaign.load_campaign_model(run)
     data = build_task_data(campaign.CONFIG)
+    assert campaign._retrain_diffs(run, data) == []
+    model = campaign.load_campaign_model(run)
     assert campaign.greedy_test_outputs(model, data)[1] == run.test_greedy_bleu
     assert campaign.beam4_test_bleu(model, data)[1] == run.test_beam4_bleu

@@ -3,16 +3,19 @@ import dataclasses
 import json
 import multiprocessing.process
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from temperlab.cli import main
 from temperlab.data import build_vocabulary, generate_synthetic_corpus
-from temperlab.errors import ConfigError
+from temperlab import experiments
+from temperlab.errors import ConfigError, DataError
 from temperlab.experiments import (
     ExperimentConfig,
     apply_overrides,
+    build_task_data,
     config_from_dict,
     config_hash,
     load_config,
@@ -141,7 +144,7 @@ def test_load_config_defaults_and_overrides(tmp_path):
 def micro_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     cfg = micro_config()
-    run = run_experiment(cfg, temperature=1.0, run_dir=out)
+    run = run_experiment(cfg, build_task_data(cfg), temperature=1.0, run_dir=out)
     return cfg, run, out
 
 
@@ -166,7 +169,7 @@ def test_run_result_report_schema(micro_run):
 
 def test_rerun_reproduces_numbers(tmp_path, micro_run):
     cfg, run, out = micro_run
-    run2 = run_experiment(cfg, temperature=1.0, run_dir=tmp_path / "again")
+    run2 = run_experiment(cfg, build_task_data(cfg), temperature=1.0, run_dir=tmp_path / "again")
     assert run2.dev_bleu == run.dev_bleu
     r1 = ExperimentRecord.load_jsonl(out / "record.jsonl")
     r2 = ExperimentRecord.load_jsonl(tmp_path / "again" / "record.jsonl")
@@ -266,6 +269,44 @@ def test_sweep_requires_temperatures(tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
+def test_sweep_task_error_starts_no_worker(tmp_path, monkeypatch, capsys):
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def count_start(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", count_start)
+    use_cpus(monkeypatch, 2)
+    # MICRO decodes up to 8 tokens, so BOS needs a ninth position
+    cfg = micro_config(model={**MICRO["model"], "max_positions": 8}, temperatures=[1.0, 2.0])
+    with pytest.raises(ConfigError, match="max_positions 8"):
+        run_sweep(cfg, tmp_path / "sweep")
+    assert not (tmp_path / "sweep").exists()
+    args = ["sweep", "--config", str(write_micro_config(tmp_path, temperatures=[1.0, 2.0]))]
+    assert main(args + ["--set", "model.max_positions=8", "--out", str(tmp_path / "cli")]) == 2
+    assert "configuration error: max_positions 8" in capsys.readouterr().err
+    assert not (tmp_path / "cli").exists()
+    assert started == []
+
+
+def test_sweep_builds_the_task_once(tmp_path, monkeypatch):
+    calls = []
+    build = experiments.build_task_data
+
+    def count_build(cfg):
+        calls.append(cfg)
+        return build(cfg)
+
+    monkeypatch.setattr(experiments, "build_task_data", count_build)
+    use_cpus(monkeypatch, 1)
+    report = run_sweep(micro_config(temperatures=[1.0, 5.0]), tmp_path)
+    assert report.t_opt == 5.0  # so the bootstrap against T=1 reads the test references too
+    assert (tmp_path / "significance.json").exists()
+    assert len(calls) == 1
+
+
 def test_sweep_emits_significance_report(tmp_path):
     cfg = micro_config(temperatures=[1.0, 2.0])
     report = run_sweep(cfg, tmp_path)
@@ -284,12 +325,13 @@ def test_sweep_emits_significance_report(tmp_path):
 
 def test_multilingual_experiment_trains(tmp_path):
     cfg = micro_config(multilingual=True)
-    run = run_experiment(cfg, temperature=1.0, run_dir=tmp_path)
+    data = build_task_data(cfg)
+    run = run_experiment(cfg, data, temperature=1.0, run_dir=tmp_path)
     tags = {"<2copy>", "<2gram>", "<2rev>", "<2shift>"}
     assert tags <= {t for t in open(tmp_path / "src_vocab.txt").read().split()}
     assert run.steps_trained == 30
     # tagged pairs: every source line starts with a registered tag
-    assert all(src[0] in tags for src, _ in run.data.train)
+    assert all(src[0] in tags for src, _ in data.train)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +359,28 @@ def test_analysis_reports_gaps_for_unreadable_runs(tmp_path, micro_run):
     _cfg, _run, out = micro_run
     missing = tmp_path / "not-a-run"
     missing.mkdir()
-    report = run_analysis([out, missing], tmp_path / "out", with_timing=False)
-    assert any("not-a-run" in g for g in report.gaps)
+    short_step = shutil.copytree(out, tmp_path / "short-step")
+    rows = len((out / "record.jsonl").read_text(encoding="utf-8").splitlines())
+    with open(short_step / "record.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"kind": "step", "step": 4}\n')
+    with pytest.raises(DataError, match=f"record.jsonl line {rows + 1} "):
+        ExperimentRecord.load_jsonl(short_step / "record.jsonl")
+    no_temperature = shutil.copytree(out, tmp_path / "no-temperature")
+    meta = json.loads((out / "config.json").read_text(encoding="utf-8"))
+    del meta["temperature"]
+    (no_temperature / "config.json").write_text(json.dumps(meta), encoding="utf-8")
+
+    string_layers = shutil.copytree(out, tmp_path / "string-layers")
+    meta["temperature"] = 1.0
+    meta["config"]["model"]["num_layers"] = "2"
+    (string_layers / "config.json").write_text(json.dumps(meta), encoding="utf-8")
+
+    runs = [out, missing, short_step, no_temperature, string_layers]
+    report = run_analysis(runs, tmp_path / "out", with_timing=False)
+    for name in ("not-a-run", "short-step", "no-temperature"):
+        assert [g for g in report.gaps if name in g and "unreadable" in g], name
+    assert [g for g in report.gaps if "string-layers" in g and "cannot rebuild" in g]
+    assert len(read_csv(tmp_path / "out" / "similarity.csv")) == 1  # the intact run alone
     with pytest.raises(ConfigError):
         run_analysis([missing], tmp_path / "out2")
 
@@ -362,6 +424,26 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     code = main(["train", "--config", str(cfg_path), "--set", "tempering.temperature=-1"])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "null",
+        "[{}]",
+        '{"task": {"length_range": 5}}',
+        '{"temperatures": 2}',
+        '{"model": {"num_layers": "2"}}',
+    ],
+)
+def test_cli_malformed_config_file_is_config_error(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(cfg_path), "--set", "trainer.max_steps=1", "--out", str(out)])
+    assert code == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_trainer_seed_is_a_config_error(tmp_path, capsys):
