@@ -68,7 +68,7 @@ from .tempering import (
     tempered_cross_entropy,
     tempered_softmax,
 )
-from .tensor import GradientTape, Tensor, backward, finite_difference_gradient
+from .tensor import GradientTape, Tensor, backward
 from .training import (
     TrainerConfig,
     average_checkpoints,

@@ -128,6 +128,14 @@ class SyntheticTaskSpec:
             raise ConfigError(f"corpus_sizes must be positive, got {self.corpus_sizes}")
         if not 0.0 <= self.noise_rate < 1.0:
             raise ConfigError(f"noise_rate must be in [0, 1), got {self.noise_rate}")
+        check_seed("task.seed", self.seed)
+
+
+def check_seed(name: str, value) -> None:
+    """Raise ConfigError unless `value` is a non-negative int (not a bool),
+    which numpy's generators would otherwise reject mid-command."""
+    if type(value) is not int or value < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass

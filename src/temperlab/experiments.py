@@ -24,6 +24,7 @@ import numpy as np
 from .data import (
     SyntheticTaskSpec,
     build_vocabulary,
+    check_seed,
     encode_pairs,
     generate_multilingual_corpus,
     generate_synthetic_corpus,
@@ -56,6 +57,10 @@ DEFAULT_TEMPERATURES = (1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 3.0, 4.0, 5.0, 10.0)
 class SeedConfig:
     model: int = 0
     train: int = 0
+
+    def __post_init__(self):
+        check_seed("seeds.model", self.model)
+        check_seed("seeds.train", self.train)
 
 
 @dataclass(frozen=True)
@@ -366,12 +371,6 @@ def worker_pool(size: int):
         yield lambda fn, jobs: pool.map(fn, jobs, chunksize=1)
 
 
-def parallel_map(fn, jobs: list) -> list:
-    """`[fn(job) for job in jobs]`, run in a `worker_pool` of its own."""
-    with worker_pool(len(jobs)) as map_jobs:
-        return map_jobs(fn, jobs)
-
-
 def _train_temperature(job: tuple[ExperimentConfig, TaskData, float, Path]) -> tuple[float | None, str | None]:
     """One sweep temperature's `run_experiment`: (dev BLEU, None) or, for a
     failed row, (None, the error text)."""
@@ -391,6 +390,21 @@ def _decode_test(job: tuple[ExperimentConfig, TaskData, Path]) -> tuple[list, fl
     outputs = test_greedy_outputs(model, data)
     bleu = corpus_bleu(outputs, [t for _, t in data.test])
     return outputs, bleu, oracle_beam_search(model, data, cfg.beam_grid)
+
+
+def _similarity(job: tuple[Path, TaskData | str]) -> tuple[float | None, str | None]:
+    """Greedy-vs-beam-4 (alpha 1) similarity BLEU of a run's `average.npz` on
+    its task's test split: (similarity, None), or (None, the error text) when
+    the checkpoint cannot be loaded or `data` is the error text of its build."""
+    run_dir, data = job
+    try:
+        model, _step = load_checkpoint(run_dir / "average.npz")
+    except (OSError, TypeError, ValueError, TemperlabError) as exc:
+        return None, str(exc)
+    if isinstance(data, str):
+        return None, data
+    bc = BeamConfig(beam_size=4, length_penalty_alpha=1.0, max_length=data.decode_max_length)
+    return output_similarity_bleu(greedy_outputs(model, data, "test"), beam_outputs(model, data, "test", bc)), None
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir) -> SweepReport:
@@ -530,41 +544,48 @@ class AnalysisReport:
     gaps: list[str]
 
 
+def _read_run(rd: Path) -> tuple[dict, ExperimentRecord]:
+    """A run directory's stored `config.json` and its `record.jsonl`."""
+    with open(rd / "config.json", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    if not isinstance(meta, dict) or not {"temperature", "config_hash", "config"} <= meta.keys():
+        raise DataError(f"{rd / 'config.json'} lacks temperature, config_hash or config")
+    return meta, ExperimentRecord.load_jsonl(rd / "record.jsonl")
+
+
 def run_analysis(run_dirs: list, out_dir, with_timing: bool = True) -> AnalysisReport:
     """Cross-run report: entropy and gradient-norm curves per temperature,
-    greedy-vs-beam similarity, and decoding speed ratios."""
+    greedy-vs-beam similarity, and decoding speed ratios. One task build per
+    config; the runs decode on one `worker_pool`, then one is timed here alone."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     gaps: list[str] = []
     entropy_rows: list[list] = []
     grad_rows: list[list] = []
     sim_rows: list[list] = []
-    timing_rows: list[list] = []
     summary: list[str] = []
 
     loaded = []
-    for rd in run_dirs:
-        rd = Path(rd)
+    for rd in map(Path, run_dirs):
         try:
-            with open(rd / "config.json", encoding="utf-8") as fh:
-                meta = json.load(fh)
-            if not isinstance(meta, dict) or not {"temperature", "config_hash", "config"} <= meta.keys():
-                raise DataError(f"{rd / 'config.json'} lacks temperature, config_hash or config")
-            record = ExperimentRecord.load_jsonl(rd / "record.jsonl")
-            loaded.append((rd, meta, record))
+            loaded.append((rd, *_read_run(rd)))
         except (OSError, json.JSONDecodeError, DataError) as exc:
             gaps.append(f"run {rd}: unreadable ({exc})")
     if not loaded:
         raise ConfigError("analysis needs at least one readable run directory")
 
     for rd, meta, record in loaded:
-        t = meta["temperature"]
-        h = meta["config_hash"]
+        t, h = meta["temperature"], meta["config_hash"]
         if not record.steps:
             gaps.append(f"run {rd}: record has no step entries")
+            continue
         for s in record.steps:
             entropy_rows.append([t, s.step, s.tempered_entropy, s.raw_entropy, h])
             grad_rows.append([t, s.step, s.grad_norm, h])
+        summary.append(
+            f"T={t:g}: final-quarter mean grad norm {tail_grad_norm([s.grad_norm for s in record.steps]):.4f}, "
+            f"final raw-view entropy {record.steps[-1].raw_entropy:.4f} nats"
+        )
 
     _write_csv(
         out / "entropy_curves.csv",
@@ -577,29 +598,24 @@ def run_analysis(run_dirs: list, out_dir, with_timing: bool = True) -> AnalysisR
         grad_rows,
     )
 
-    for rd, meta, record in loaded:
-        if record.steps:
-            mean_norm = tail_grad_norm([s.grad_norm for s in record.steps])
-            summary.append(
-                f"T={meta['temperature']:g}: final-quarter mean grad norm {mean_norm:.4f}, "
-                f"final raw-view entropy {record.steps[-1].raw_entropy:.4f} nats"
-            )
-
-    models = {}
+    tasks: dict[str, TaskData] = {}  # keyed on the recomputed hash: the stored one may be stale
+    jobs = []
     for rd, meta, _ in loaded:
         try:
-            mdl, _step = load_checkpoint(rd / "average.npz")
             cfg = config_from_dict(meta["config"])
-            data = build_task_data(cfg)
-            models[rd] = (mdl, data, meta)
-        except (OSError, TypeError, ValueError, TemperlabError) as exc:  # a malformed stored config included
-            gaps.append(f"run {rd}: cannot rebuild decode model ({exc})")
-
-    for rd, (mdl, data, meta) in models.items():
-        bc = BeamConfig(beam_size=4, length_penalty_alpha=1.0, max_length=data.decode_max_length)
-        sim = output_similarity_bleu(
-            greedy_outputs(mdl, data, "test"), beam_outputs(mdl, data, "test", bc)
-        )
+            key = config_hash(cfg)
+            tasks[key] = tasks.get(key) or build_task_data(cfg)
+            jobs.append((rd, tasks[key]))
+        except (TypeError, ValueError, TemperlabError) as exc:  # a malformed stored config included
+            jobs.append((rd, str(exc)))
+    with worker_pool(len(jobs)) as map_jobs:
+        decoded = map_jobs(_similarity, jobs)
+    first = None  # the first decoded run, timed below
+    for (rd, data), (_, meta, _), (sim, error) in zip(jobs, loaded, decoded):
+        if error is not None:
+            gaps.append(f"run {rd}: cannot rebuild decode model ({error})")
+            continue
+        first = first or (rd, meta, data)
         sim_rows.append([meta["temperature"], sim, meta["config_hash"]])
         summary.append(f"T={meta['temperature']:g}: greedy-beam4 similarity BLEU {sim:.2f}")
     _write_csv(
@@ -608,37 +624,20 @@ def run_analysis(run_dirs: list, out_dir, with_timing: bool = True) -> AnalysisR
         sorted(sim_rows),
     )
 
-    if with_timing and models:
-        rd0 = next(iter(models))
-        mdl, data, meta = models[rd0]
-        sources = [data.src_vocab.encode(s) for s, _ in data.test]
-        for row in time_decoding(mdl, sources, data.decode_max_length):
-            timing_rows.append(
-                [
-                    row["mode"],
-                    row["beam_size"],
-                    row["alpha"],
-                    row["median_wall_s"],
-                    row["slowdown_vs_greedy"],
-                    meta["config_hash"],
-                ]
-            )
-            if row["mode"] != "greedy":
-                summary.append(
-                    f"greedy is {row['slowdown_vs_greedy']:.2f}x faster than {row['mode']}"
-                )
+    if with_timing and first:
+        rd, meta, data = first
+        mdl, _step = load_checkpoint(rd / "average.npz")
+        rows = time_decoding(mdl, [data.src_vocab.encode(s) for s, _ in data.test], data.decode_max_length)
+        columns = ["mode", "beam_size", "alpha", "median_wall_s", "slowdown_vs_greedy"]
         _write_csv(
             out / "timing.csv",
-            ["mode", "beam_size", "alpha", "median_wall_s", "slowdown_vs_greedy", "config_hash"],
-            timing_rows,
+            columns + ["config_hash"],
+            [[row[c] for c in columns] + [meta["config_hash"]] for row in rows],
         )
+        summary += [f"greedy is {r['slowdown_vs_greedy']:.2f}x faster than {r['mode']}" for r in rows[1:]]
 
-    with open(out / "summary.txt", "w", encoding="utf-8") as fh:
-        fh.write("analysis summary\n================\n")
-        for line in summary:
-            fh.write(line + "\n")
-        if gaps:
-            fh.write("\ngaps\n----\n")
-            for g in gaps:
-                fh.write(g + "\n")
+    text = "\n".join(["analysis summary", "================", *summary])
+    if gaps:
+        text += "\n\ngaps\n----\n" + "\n".join(gaps)
+    (out / "summary.txt").write_text(text + "\n", encoding="utf-8")
     return AnalysisReport(out_dir=str(out), gaps=gaps)

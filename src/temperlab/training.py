@@ -99,15 +99,13 @@ class ExperimentRecord:
     @classmethod
     def load_jsonl(cls, path) -> "ExperimentRecord":
         out = cls()
+        kinds = {"step": (out.steps, StepRecord), "eval": (out.evals, EvalRecord)}
         with open(path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, start=1):
                 try:
                     row = json.loads(line)
-                    kind = row.pop("kind")
-                    if kind == "step":
-                        out.steps.append(StepRecord(**row))
-                    elif kind == "eval":
-                        out.evals.append(EvalRecord(**row))
+                    rows, record = kinds[row.pop("kind")]  # KeyError for a missing or unknown kind
+                    rows.append(record(**row))
                 except (ValueError, KeyError, TypeError, AttributeError) as exc:
                     raise DataError(f"{path} line {number} is not a step or eval record: {exc!r}") from exc
         return out

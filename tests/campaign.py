@@ -2,7 +2,7 @@
 
 Twelve desk-scale runs (temperatures {1, 2, 3, 5} x three seeds) on the
 noisy copy task, each one `run_experiment` of `CONFIG`, built in parallel
-worker processes (`experiments.parallel_map`). Each job builds the task
+worker processes (`experiments.worker_pool`). Each job builds the task
 once, trains, and then measures the run from the `average.npz` and
 `record.jsonl` it saved, through the same `_measure` that `--check` uses.
 Runs are deterministic, so finished results are cached on disk keyed by
@@ -45,8 +45,8 @@ from temperlab.experiments import (
     SeedConfig,
     build_task_data,
     entropy_probe,
-    parallel_map,
     run_experiment,
+    worker_pool,
 )
 from temperlab.metrics import corpus_bleu, output_similarity_bleu
 from temperlab.model import load_checkpoint
@@ -192,7 +192,9 @@ def run_campaign(verbose: bool = False) -> dict[tuple[float, int], CampaignRun]:
     out = cache_dir()
     out.mkdir(parents=True, exist_ok=True)
     keys = {(t, s): out / f"{_name(t, s)}.json" for s in SEEDS for t in TEMPERATURES}
-    parallel_map(_build_one, [(t, s, out, verbose) for (t, s), key in keys.items() if not key.exists()])
+    jobs = [(t, s, out, verbose) for (t, s), key in keys.items() if not key.exists()]
+    with worker_pool(len(jobs)) as map_jobs:
+        map_jobs(_build_one, jobs)
     runs: dict[tuple[float, int], CampaignRun] = {}
     for run_key, key in keys.items():
         with open(key, encoding="utf-8") as fh:
@@ -243,7 +245,8 @@ def check_campaign() -> int:
     """Recompute the measured fields of every cached run; 0 when all are
     bit-equal to the cache."""
     paths = sorted(cache_dir().glob("run_T*_s*.json"))
-    results = parallel_map(_check_one, paths)
+    with worker_pool(len(paths)) as map_jobs:
+        results = map_jobs(_check_one, paths)
     for path, diffs in zip(paths, results):
         print(f"{path.name}: {'; '.join(diffs) if diffs else 'bit-identical'}", flush=True)
     if not paths:

@@ -19,11 +19,11 @@ from temperlab.experiments import (
     config_from_dict,
     config_hash,
     load_config,
-    parallel_map,
     run_analysis,
     run_experiment,
     run_sweep,
     time_decoding,
+    worker_pool,
 )
 from temperlab.model import init_parameters, load_checkpoint, save_checkpoint
 from temperlab.training import ExperimentRecord
@@ -185,8 +185,36 @@ def test_rerun_reproduces_numbers(tmp_path, micro_run):
 
 
 def use_cpus(monkeypatch, n):
-    """Make `parallel_map` see `n` usable CPUs, whatever the machine has."""
+    """Make `worker_pool` see `n` usable CPUs, whatever the machine has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture()
+def started(monkeypatch):
+    """The names of the processes that the test starts."""
+    names = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def count_start(self):
+        names.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", count_start)
+    return names
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """The configs that the test passes to `experiments.build_task_data`."""
+    calls = []
+    build = experiments.build_task_data
+
+    def count_build(cfg):
+        calls.append(cfg)
+        return build(cfg)
+
+    monkeypatch.setattr(experiments, "build_task_data", count_build)
+    return calls
 
 
 def test_sweep_singleton_and_failure_rows(tmp_path, monkeypatch):
@@ -222,15 +250,7 @@ def tree(root):
     return files
 
 
-def test_sweep_in_workers_equals_sweep_in_process(tmp_path, monkeypatch):
-    started = []
-    start = multiprocessing.process.BaseProcess.start
-
-    def count_start(self):
-        started.append(self.name)
-        start(self)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", count_start)
+def test_sweep_in_workers_equals_sweep_in_process(tmp_path, monkeypatch, started):
     cfg = micro_config(temperatures=[1.0, 2.0])
     use_cpus(monkeypatch, 2)
     run_sweep(cfg, tmp_path / "pool")
@@ -248,15 +268,17 @@ def _square(x):
     return x * x
 
 
-def test_parallel_map_on_one_cpu_starts_no_process(monkeypatch):
+def test_worker_pool_on_one_cpu_starts_no_process(monkeypatch):
     def refuse(self):
         raise AssertionError("a process was started")
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
     use_cpus(monkeypatch, 1)
-    assert parallel_map(_square, [1, 2, 3]) == [1, 4, 9]
+    with worker_pool(3) as map_jobs:
+        assert map_jobs(_square, [1, 2, 3]) == [1, 4, 9]
     use_cpus(monkeypatch, 4)
-    assert parallel_map(_square, [5]) == [25]  # one job needs no worker either
+    with worker_pool(1) as map_jobs:  # one job needs no worker either
+        assert map_jobs(_square, [5]) == [25]
 
 
 def test_sweep_requires_temperatures(tmp_path):
@@ -269,15 +291,7 @@ def test_sweep_requires_temperatures(tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
-def test_sweep_task_error_starts_no_worker(tmp_path, monkeypatch, capsys):
-    started = []
-    start = multiprocessing.process.BaseProcess.start
-
-    def count_start(self):
-        started.append(self.name)
-        start(self)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", count_start)
+def test_sweep_task_error_starts_no_worker(tmp_path, monkeypatch, capsys, started):
     use_cpus(monkeypatch, 2)
     # MICRO decodes up to 8 tokens, so BOS needs a ninth position
     cfg = micro_config(model={**MICRO["model"], "max_positions": 8}, temperatures=[1.0, 2.0])
@@ -291,20 +305,12 @@ def test_sweep_task_error_starts_no_worker(tmp_path, monkeypatch, capsys):
     assert started == []
 
 
-def test_sweep_builds_the_task_once(tmp_path, monkeypatch):
-    calls = []
-    build = experiments.build_task_data
-
-    def count_build(cfg):
-        calls.append(cfg)
-        return build(cfg)
-
-    monkeypatch.setattr(experiments, "build_task_data", count_build)
+def test_sweep_builds_the_task_once(tmp_path, monkeypatch, builds):
     use_cpus(monkeypatch, 1)
     report = run_sweep(micro_config(temperatures=[1.0, 5.0]), tmp_path)
     assert report.t_opt == 5.0  # so the bootstrap against T=1 reads the test references too
     assert (tmp_path / "significance.json").exists()
-    assert len(calls) == 1
+    assert len(builds) == 1
 
 
 def test_sweep_emits_significance_report(tmp_path):
@@ -375,14 +381,66 @@ def test_analysis_reports_gaps_for_unreadable_runs(tmp_path, micro_run):
     meta["config"]["model"]["num_layers"] = "2"
     (string_layers / "config.json").write_text(json.dumps(meta), encoding="utf-8")
 
-    runs = [out, missing, short_step, no_temperature, string_layers]
+    bad_kind = shutil.copytree(out, tmp_path / "bad-kind")
+    record = (out / "record.jsonl").read_text(encoding="utf-8")
+    assert record.startswith('{"kind": "step", ')
+    (bad_kind / "record.jsonl").write_text(record.replace('"step"', '"stp"', 1), encoding="utf-8")
+
+    runs = [out, missing, short_step, no_temperature, string_layers, bad_kind]
     report = run_analysis(runs, tmp_path / "out", with_timing=False)
-    for name in ("not-a-run", "short-step", "no-temperature"):
+    for name in ("not-a-run", "short-step", "no-temperature", "bad-kind"):
         assert [g for g in report.gaps if name in g and "unreadable" in g], name
     assert [g for g in report.gaps if "string-layers" in g and "cannot rebuild" in g]
     assert len(read_csv(tmp_path / "out" / "similarity.csv")) == 1  # the intact run alone
     with pytest.raises(ConfigError):
         run_analysis([missing], tmp_path / "out2")
+
+
+@pytest.fixture(scope="module")
+def analysis_runs(micro_run, tmp_path_factory):
+    """The MICRO run at T=1, one at T=2 and one of a second config (another
+    task seed)."""
+    _cfg, _run, t1 = micro_run
+    root = tmp_path_factory.mktemp("analysis-runs")
+    cfg = micro_config()
+    run_experiment(cfg, build_task_data(cfg), temperature=2.0, run_dir=root / "T2")
+    other = micro_config(task={**MICRO["task"], "seed": 6})
+    run_experiment(other, build_task_data(other), temperature=1.0, run_dir=root / "other")
+    return [t1, root / "T2", root / "other"]
+
+
+def test_analysis_builds_each_config_once(tmp_path, monkeypatch, builds, analysis_runs):
+    use_cpus(monkeypatch, 1)
+    report = run_analysis(analysis_runs, tmp_path, with_timing=False)
+    assert report.gaps == []
+    assert len(read_csv(tmp_path / "similarity.csv")) == 3
+    assert len(builds) == 2
+
+
+def test_analysis_in_workers_equals_analysis_in_process(tmp_path, monkeypatch, started, analysis_runs):
+    corrupt = shutil.copytree(analysis_runs[0], tmp_path / "corrupt-npz")
+    (corrupt / "average.npz").write_text("not a checkpoint\n", encoding="utf-8")
+    runs = [*analysis_runs, corrupt]
+    use_cpus(monkeypatch, 2)
+    pool = run_analysis(runs, tmp_path / "pool")
+    assert len(started) == 2
+    use_cpus(monkeypatch, 1)
+    serial = run_analysis(runs, tmp_path / "serial")
+    assert len(started) == 2
+    # a checkpoint that a worker cannot load is a gap, as it is in process
+    assert pool.gaps == serial.gaps
+    assert len(pool.gaps) == 1
+    assert pool.gaps[0].startswith(f"run {corrupt}: cannot rebuild decode model (")
+    assert "not an .npz archive" in pool.gaps[0]
+
+    def files(root):  # the wall times aside
+        body = {p.name: p.read_text(encoding="utf-8") for p in root.iterdir() if p.name != "timing.csv"}
+        body["summary.txt"] = [line for line in body["summary.txt"].splitlines() if "x faster than" not in line]
+        return body
+
+    assert (tmp_path / "pool" / "timing.csv").exists()
+    assert files(tmp_path / "pool") == files(tmp_path / "serial")
+    assert len(read_csv(tmp_path / "pool" / "similarity.csv")) == 3
 
 
 def test_time_decoding_shape(trained_copy):
@@ -434,16 +492,24 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
         '{"task": {"length_range": 5}}',
         '{"temperatures": 2}',
         '{"model": {"num_layers": "2"}}',
+        '{"seeds": {"model": -1}}',
+        '{"seeds": {"train": "x"}}',
+        '{"seeds": {"model": true}}',
+        '{"task": {"seed": -1}}',
+        '{"task": {"seed": 1.0}}',
     ],
 )
-def test_cli_malformed_config_file_is_config_error(tmp_path, capsys, text):
+def test_cli_malformed_config_file_is_config_error(tmp_path, monkeypatch, capsys, started, text):
+    use_cpus(monkeypatch, 2)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text, encoding="utf-8")
-    out = tmp_path / "run"
-    code = main(["train", "--config", str(cfg_path), "--set", "trainer.max_steps=1", "--out", str(out)])
-    assert code == 2
-    assert "configuration error:" in capsys.readouterr().err
-    assert not out.exists()
+    for command in ("train", "sweep"):
+        out = tmp_path / command
+        code = main([command, "--config", str(cfg_path), "--set", "trainer.max_steps=1", "--out", str(out)])
+        assert code == 2
+        assert "configuration error:" in capsys.readouterr().err
+        assert not out.exists()
+    assert started == []
 
 
 def test_trainer_seed_is_a_config_error(tmp_path, capsys):

@@ -16,7 +16,8 @@ from temperlab.tempering import (
     tempered_loss,
     tempered_softmax,
 )
-from temperlab.tensor import GradientTape, Tensor, backward, finite_difference_gradient
+from temperlab.tensor import GradientTape, Tensor, backward
+from tests.gradcheck import finite_difference_gradient
 
 finite_logits = st.lists(
     st.floats(min_value=-8, max_value=8), min_size=2, max_size=12

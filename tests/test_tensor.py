@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import temperlab.tensor as tt
 from temperlab.errors import ConfigError, ContractError, NumericError, ShapeError
 from temperlab.tempering import TemperingConfig, smoothed_label_array, tempered_loss
-from temperlab.tensor import GradientTape, Tensor, backward, finite_difference_gradient
+from temperlab.tensor import GradientTape, Tensor, backward
+from tests.gradcheck import finite_difference_gradient
 
 
 def rel_err(a, b, floor=1e-8):
