@@ -30,52 +30,17 @@ if _unset and "numpy" in sys.modules:
         blas.set_threads(1)
 del _unset, os, sys, warnings
 
-from .data import (
-    BOS_ID,
-    EOS_ID,
-    PAD_ID,
-    UNK_ID,
-    SyntheticTaskSpec,
-    Vocabulary,
-    build_vocabulary,
-    generate_multilingual_corpus,
-    generate_synthetic_corpus,
-    make_batches,
-)
+from .data import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, SyntheticTaskSpec, Vocabulary, build_vocabulary,
+                   generate_multilingual_corpus, generate_synthetic_corpus, make_batches)
 from .decoding import BeamConfig, Hypothesis, beam_decode, greedy_decode, length_penalty
-from .errors import (
-    ConfigError,
-    ContractError,
-    DataError,
-    NumericError,
-    ShapeError,
-    TemperlabError,
-)
+from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError, TemperlabError
 from .metrics import corpus_bleu, output_similarity_bleu, paired_bootstrap
-from .model import (
-    ModelConfig,
-    TransformerModel,
-    init_parameters,
-    load_checkpoint,
-    parameter_count,
-    save_checkpoint,
-)
-from .tempering import (
-    LabelDistribution,
-    TemperingConfig,
-    analytic_logit_gradient,
-    shannon_entropy,
-    tempered_cross_entropy,
-    tempered_softmax,
-)
+from .model import (ModelConfig, TransformerModel, init_parameters, load_checkpoint, parameter_count,
+                    save_checkpoint)
+from .tempering import (LabelDistribution, TemperingConfig, analytic_logit_gradient, shannon_entropy,
+                        tempered_cross_entropy, tempered_softmax)
 from .tensor import GradientTape, Tensor, backward
-from .training import (
-    TrainerConfig,
-    average_checkpoints,
-    evaluate_checkpoint,
-    global_gradient_norm,
-    should_stop,
-    train,
-)
+from .training import (TrainerConfig, average_checkpoints, evaluate_checkpoint, global_gradient_norm,
+                       should_stop, train)
 
 __version__ = "0.1.0"

@@ -21,15 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    SyntheticTaskSpec,
-    build_vocabulary,
-    check_seed,
-    encode_pairs,
-    generate_multilingual_corpus,
-    generate_synthetic_corpus,
-    make_batches,
-)
+from .data import (SyntheticTaskSpec, build_vocabulary, check_seed, encode_pairs, generate_multilingual_corpus,
+                   generate_synthetic_corpus, make_batches)
 from .decoding import BeamConfig, decode_corpus
 from .errors import ConfigError, DataError, TemperlabError
 from .metrics import corpus_bleu, output_similarity_bleu, paired_bootstrap
@@ -360,7 +353,9 @@ def worker_pool(size: int):
     1 they run in this process, which starts none. `fn` must be a
     module-level function, and jobs and results must pickle. Workers start
     with the `spawn` method, so each imports temperlab afresh and inherits
-    the BLAS thread variables that importing temperlab set here."""
+    the BLAS thread variables that importing temperlab set here; each also
+    re-runs the caller's main script, so a script without an `if __name__ ==
+    "__main__":` guard around its work hangs, starting workers without end."""
     workers = min(size, len(os.sched_getaffinity(0)))
     if workers <= 1:
         yield lambda fn, jobs: [fn(job) for job in jobs]
@@ -582,8 +577,9 @@ def run_analysis(run_dirs: list, out_dir, with_timing: bool = True) -> AnalysisR
         for s in record.steps:
             entropy_rows.append([t, s.step, s.tempered_entropy, s.raw_entropy, h])
             grad_rows.append([t, s.step, s.grad_norm, h])
+        tail = tail_grad_norm([s.grad_norm for s in record.steps])
         summary.append(
-            f"T={t:g}: final-quarter mean grad norm {tail_grad_norm([s.grad_norm for s in record.steps]):.4f}, "
+            f"run {rd}, T={t:g}: final-quarter mean grad norm {tail:.4f}, "
             f"final raw-view entropy {record.steps[-1].raw_entropy:.4f} nats"
         )
 
@@ -617,7 +613,7 @@ def run_analysis(run_dirs: list, out_dir, with_timing: bool = True) -> AnalysisR
             continue
         first = first or (rd, meta, data)
         sim_rows.append([meta["temperature"], sim, meta["config_hash"]])
-        summary.append(f"T={meta['temperature']:g}: greedy-beam4 similarity BLEU {sim:.2f}")
+        summary.append(f"run {rd}, T={meta['temperature']:g}: greedy-beam4 similarity BLEU {sim:.2f}")
     _write_csv(
         out / "similarity.csv",
         ["temperature", "similarity_bleu", "config_hash"],

@@ -15,7 +15,7 @@ incremental decoder on plain arrays (`decode_start`, `decode_next`,
 `decode_reorder`): it caches the self-attention keys and values, as in
 fairseq's incremental decoding, and calls the same forward halves
 (`tensor.embedding`, `split_heads`, `attention_weights`, `merge_heads`,
-`layer_norm_forward`, `feed_forward`) as the tape's primitives do.
+`residual_norm_forward`, `feed_forward`) as the tape's primitives do.
 """
 
 from __future__ import annotations
@@ -195,11 +195,10 @@ class TransformerModel:
         return tt.ffn(x, *(p[f"{prefix}.{n}"] for n in ("w1", "b1", "w2", "b2")))
 
     def _residual(self, x: Tensor, branch: Tensor, ln_prefix: str, train: bool, rng) -> Tensor:
-        if train and self.config.layer_dropout > 0.0:
-            branch = tt.dropout(branch, self.config.layer_dropout, rng)
-        summed = tt.add(x, branch)
+        rate = self.config.layer_dropout
+        keep = tt.dropout_mask(branch.shape, rate, rng) if train and rate > 0.0 else None
         p = self.params
-        return tt.layer_norm(summed, p[f"{ln_prefix}.gain"], p[f"{ln_prefix}.bias"], LN_EPS)
+        return tt.residual_norm(x, branch, keep, p[f"{ln_prefix}.gain"], p[f"{ln_prefix}.bias"], LN_EPS)
 
     def _encoder_stack(self, source: Array, train: bool, rng) -> Tensor:
         cfg = self.config
@@ -299,7 +298,7 @@ class TransformerModel:
     def _norm(self, x: Array, branch: Array, ln_prefix: str) -> Array:
         p = self.params
         gain, bias = p[f"{ln_prefix}.gain"].array, p[f"{ln_prefix}.bias"].array
-        return tt.layer_norm_forward(x + branch, gain, bias, LN_EPS)[0]
+        return tt.residual_norm_forward(x, branch, None, gain, bias, LN_EPS)[0]
 
     def decode_start(self, encoded: EncodedSource) -> DecoderState:
         """A cache with one empty row per encoded source, holding each

@@ -12,23 +12,27 @@ positions and row-wise ops so each rule stays auditable.
 Some primitives are one tape node for a chain of elementary ones: `linear`
 for `bias_add(matmul(x, w), b)`; `attention` and `ffn` for the attention
 core and the feed-forward block; `embed` for the gather, scale and position
-add; `dropout` for `mul` by its mask; `cross_entropy` for `scale`,
-`log_row_softmax`, `mul` by the labels, `sum_all` and `scale`. Each computes
-the same floats as the chain it replaces, forward and backward, in the same
-order, so training bits do not depend on which of the two builds the graph
+add; `dropout` for `mul` by its mask; `residual_norm` for `dropout`, `add`
+and `layer_norm`; `cross_entropy` for `scale`, `log_row_softmax`, `mul` by
+the labels, `sum_all` and `scale`. Each computes the same floats as the
+chain it replaces, forward and backward, in the same order, so training
+bits do not depend on which of the two builds the graph
 (`tests/test_tensor.py` checks this bit for bit); the one node saves tape
-nodes, temporaries and the gradients that nothing reads.
+nodes, temporaries and the gradients that nothing reads. `backward`
+consumes the tape, so what each node saved is freed while it runs.
 
 `softmax` and `log_softmax` are the package's one stable softmax pair, on
 plain arrays; the primitives, the tempering diagnostics and decoding use it.
-Likewise `embedding`, `attention_weights`, `layer_norm_forward` and
+Likewise `embedding`, `attention_weights`, `residual_norm_forward` and
 `feed_forward` are the plain-array forward halves of `embed`, `attention`,
-`layer_norm` and `ffn`, and `split_heads`, `split_keys` and `merge_heads`
+`residual_norm` and `ffn`, and `split_heads`, `split_keys` and `merge_heads`
 are the one head layout, so the tape and the cached decoder compute the
 same expressions.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -44,7 +48,7 @@ class Tensor:
     parameter vector wholesale instead of mutating it in place.
     """
 
-    __slots__ = ("array", "tracked")
+    __slots__ = ("array", "tracked", "__weakref__")
 
     def __init__(self, values, tracked: bool = False):
         arr = np.asarray(values, dtype=np.float64, order="C")
@@ -93,7 +97,7 @@ class GradientTape:
     """Ordered record of primitive applications for reverse-mode replay.
 
     Nodes are appended in execution order, which is a topological order of
-    the computation graph, so `backward` can walk the list in reverse.
+    the computation graph, so `backward` can pop them from the end.
     """
 
     def __init__(self):
@@ -128,13 +132,18 @@ def _emit(arr: Array, inputs: tuple[Tensor, ...], backward) -> Tensor:
 def backward(tape: GradientTape, loss: Tensor) -> dict[Tensor, Array]:
     """Accumulate gradients of `loss` w.r.t. every tracked tensor on the tape.
 
-    Returns a map keyed by tensor identity. Untracked leaves never appear;
-    tracked leaves receive a gradient of identical shape to their value.
+    Consumes the tape: each node is popped as it is replayed, so what its
+    rule saved is freed once the rule has run. Returns a map keyed by tensor
+    identity for every tracked tensor that the caller still references; the
+    other intermediates and their gradients are freed before it returns.
+    Untracked leaves never appear; tracked leaves receive a gradient of
+    identical shape to their value.
     """
     if loss.array.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    grads: dict[Tensor, Array] = {loss: np.ones((), dtype=np.float64)}
-    for node in reversed(tape.nodes):
+    grads = {loss: np.ones((), dtype=np.float64)}
+    while tape.nodes:
+        node = tape.nodes.pop()
         g = grads.get(node.output)
         if g is None:
             continue
@@ -143,7 +152,12 @@ def backward(tape: GradientTape, loss: Tensor) -> dict[Tensor, Array]:
                 continue
             acc = grads.get(inp)
             grads[inp] = gi if acc is None else acc + gi
-    return grads
+    # a plain dict until here: freeing each gradient as its tensor dies would
+    # make the allocator return and re-fault heap pages in every backward
+    node = inp = None  # the last node and input replayed would stay alive
+    held = weakref.WeakKeyDictionary(grads)
+    grads = None
+    return dict(held)
 
 
 # ---------------------------------------------------------------------------
@@ -299,30 +313,56 @@ def layer_norm_forward(x: Array, gain: Array, bias: Array, eps: float) -> tuple[
     return xhat * gain + bias, xhat, inv
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalise the last axis to zero mean and unit variance, then apply
-    the affine transform `gain * xhat + bias`."""
+def _layer_norm_backward(g: Array, xhat: Array, inv: Array, gain: Array) -> tuple[Array, Array, Array]:
+    """The input, gain and bias gradients for the output gradient `g`: the
+    input's is inv * (gh - mean(gh) - xhat * mean(gh * xhat)) with
+    gh = g * gain, in that operation order, on two temporaries."""
+    d = xhat.shape[-1]
+    gh = g * gain
+    t = gh * xhat
+    m = np.add.reduce(t, axis=-1, keepdims=True) / d
+    gh -= np.add.reduce(gh, axis=-1, keepdims=True) / d
+    gh -= np.multiply(xhat, m, out=t)
+    gh *= inv
+    return gh, np.multiply(g, xhat, out=t).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+
+
+def _check_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> None:
     if eps <= 0.0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain {gain.shape} / bias {bias.shape} do not match last dim {d}")
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+    """Normalise the last axis to zero mean and unit variance, then apply
+    the affine transform `gain * xhat + bias`."""
+    _check_norm(x, gain, bias, eps)
     out, xhat, inv = layer_norm_forward(x.array, gain.array, bias.array, eps)
+    return _emit(out, (x, gain, bias), lambda g: _layer_norm_backward(g, xhat, inv, gain.array))
+
+
+def residual_norm_forward(x: Array, branch: Array, keep: Array | None, gain: Array, bias: Array, eps: float):
+    """`layer_norm_forward` of x + branch * keep, or of x + branch when
+    `keep` is None, on plain arrays: the forward half of `residual_norm`."""
+    return layer_norm_forward(x + (branch if keep is None else branch * keep), gain, bias, eps)
+
+
+def residual_norm(x: Tensor, branch: Tensor, keep: Array | None, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """`layer_norm(add(x, dropout(branch)), gain, bias, eps)` as one node,
+    with `keep` the dropout multiplier drawn for the branch, or None for no
+    dropout. It saves the normalised sum, the inverse deviation and `keep`."""
+    if x.shape != branch.shape:
+        raise ShapeError(f"residual_norm: shapes {x.shape} and {branch.shape} differ")
+    _check_norm(x, gain, bias, eps)
+    out, xhat, inv = residual_norm_forward(x.array, branch.array, keep, gain.array, bias.array, eps)
 
     def bwd(g: Array):
-        # inv * (gh - mean(gh) - xhat * mean(gh * xhat)) with gh = g * gain,
-        # in that operation order, on two temporaries
-        gh = g * gain.array
-        t = gh * xhat
-        m = np.add.reduce(t, axis=-1, keepdims=True) / d
-        gh -= np.add.reduce(gh, axis=-1, keepdims=True) / d
-        gh -= np.multiply(xhat, m, out=t)
-        gh *= inv
-        ggain = np.multiply(g, xhat, out=t).reshape(-1, d).sum(axis=0)
-        gbias = g.reshape(-1, d).sum(axis=0)
-        return gh, ggain, gbias
+        gx, ggain, gbias = _layer_norm_backward(g, xhat, inv, gain.array)
+        return gx, gx if keep is None else gx * keep, ggain, gbias
 
-    return _emit(out, (x, gain, bias), bwd)
+    return _emit(out, (x, branch, gain, bias), bwd)
 
 
 def split_heads(x: Array, heads: int) -> Array:

@@ -415,6 +415,10 @@ def test_analysis_builds_each_config_once(tmp_path, monkeypatch, builds, analysi
     assert report.gaps == []
     assert len(read_csv(tmp_path / "similarity.csv")) == 3
     assert len(builds) == 2
+    # two runs share T=1, so each summary line names its run
+    summary = (tmp_path / "summary.txt").read_text(encoding="utf-8")
+    for rd in analysis_runs:
+        assert sum(line.startswith(f"run {rd}, T=") for line in summary.splitlines()) == 2, rd
 
 
 def test_analysis_in_workers_equals_analysis_in_process(tmp_path, monkeypatch, started, analysis_runs):

@@ -179,17 +179,45 @@ def test_dropout_changes_training_forward_but_not_eval(rng):
     assert np.array_equal(e1, e2)
 
 
-def test_desk_training_step_records_seventy_tape_nodes(rng):
-    # one node per embedding, dropout site, linear, attention core, ffn,
-    # residual add and layer norm, and one for the loss: 2 + 24 encoder
-    # nodes, 2 + 40 decoder nodes, the output projection and the loss
+def desk_step_tape(rng):
+    """A desk-default model and the tape, logits and loss of one training
+    forward at T=2 with dropout on."""
     model = init_parameters(ModelConfig().with_vocabs(11, 13), seed=0)
-    src, tgt = random_batch(rng, model.config)
+    src, tgt = random_batch(rng, model.config, batch=32, src_len=9, tgt_len=10)
     labels = smoothed_label_array(np.roll(tgt, -1, axis=1), 13, 0.1, PAD_ID)
     with GradientTape() as tape:
         logits = model.forward_teacher_forced(src, tgt, train=True, rng=np.random.default_rng(0))
-        tempered_loss(logits, labels, tgt.size, TemperingConfig(temperature=2.0))
-    assert len(tape.nodes) == 70
+        loss = tempered_loss(logits, labels, tgt.size, TemperingConfig(temperature=2.0))
+    return model, tape, logits, loss
+
+
+def test_desk_training_step_records_fifty_tape_nodes(rng):
+    # one node per embedding and its dropout, linear, attention core, ffn
+    # and residual norm (dropout, add and layer norm), and one for the loss:
+    # 2 + 16 encoder nodes, 2 + 28 decoder nodes, the output projection and
+    # the loss
+    _model, tape, _logits, _loss = desk_step_tape(rng)
+    assert len(tape.nodes) == 50
+
+
+def test_backward_frees_what_it_has_used(rng):
+    # a backward that held every node's saved arrays until it returned
+    # peaked at about 1.5x the bytes held at its start
+    tracemalloc.start()
+    try:
+        model, tape, logits, loss = desk_step_tape(rng)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * held, (peak, held)
+    assert tape.nodes == []
+    # every parameter, the held logits and the loss; no dropped intermediate
+    kept = {id(t) for t in (*model.params.values(), logits, loss)}
+    assert {id(t) for t in grads} == kept
+    assert grads[logits].shape == logits.shape
 
 
 # ---------------------------------------------------------------------------

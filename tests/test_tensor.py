@@ -258,6 +258,11 @@ def attention_inputs(rng):
     return (q, k, v), mask, keep
 
 
+def residual_inputs(rng):
+    shapes = ((2, 3, 4), (2, 3, 4), (4,), (4,))
+    return tuple(Tensor(rng.normal(size=s), tracked=True) for s in shapes)
+
+
 def ffn_inputs(rng):
     shapes = ((2, 3, 4), (4, 6), (6,), (6, 4), (4,))
     return tuple(Tensor(rng.normal(size=s), tracked=True) for s in shapes)
@@ -338,6 +343,32 @@ def test_attention_and_ffn_equal_their_primitive_chains_bitwise(rng):
     assert np.array_equal(fused[1][0], chain[1][0])
 
 
+def test_residual_norm_equals_dropout_add_layer_norm_bitwise(rng):
+    # the model's residual node against the chain it replaces, with dropout
+    # on and off, and with a contiguous and a non-contiguous incoming gradient
+    inputs = residual_inputs(rng)
+    for rate in (0.0, 0.3):
+        for axes in ((0, 1, 2), (0, 2, 1)):
+
+            def fused(x, branch, gain, bias):
+                keep = tt.dropout_mask(branch.shape, rate, np.random.default_rng(9)) if rate else None
+                return tt.transpose(tt.residual_norm(x, branch, keep, gain, bias, 1e-6), axes)
+
+            def chain(x, branch, gain, bias):
+                summed = tt.add(x, dropout_of(rate, 9)(branch))
+                return tt.transpose(tt.layer_norm(summed, gain, bias, 1e-6), axes)
+
+            weight = rng.normal(size=fused(*inputs).shape)
+            a, b = grads_of(fused, inputs, weight), grads_of(chain, inputs, weight)
+            assert np.array_equal(a[0], b[0]), (rate, axes)
+            assert all(np.array_equal(u, v) for u, v in zip(a[1], b[1])), (rate, axes)
+    x, branch = (Tensor(rng.normal(size=(2, 4))) for _ in range(2))
+    assert np.array_equal(
+        tt.residual_norm_forward(x.array, branch.array, None, inputs[2].array, inputs[3].array, 1e-6)[0],
+        tt.layer_norm(tt.add(x, branch), inputs[2], inputs[3], 1e-6).array,
+    )
+
+
 def test_relu_equals_where_bitwise_on_signed_zeros_and_subnormals():
     # `feed_forward` applies `relu_forward` to its hidden layer
     tiny = np.finfo(np.float64).smallest_subnormal
@@ -358,6 +389,7 @@ def test_attention_and_ffn_gradients_match_finite_differences(rng):
         (tt.linear, ffn_inputs(rng)[:3]),
         (lambda t: tempered_loss(t, labels, n, cfg), (logits,)),
         (dropout_of(0.3, 9), (Tensor(rng.normal(size=(4, 5)), tracked=True),)),
+        (lambda x, b, g, c: tt.residual_norm(x, b, keep[:, 0, :3, :4], g, c, 1e-6), residual_inputs(rng)),
     ):
         shape = fn(*inputs).shape
         weight = rng.normal(size=shape) if shape else None
