@@ -504,33 +504,31 @@ def entropy_probe(model, data: TaskData, temperature: float) -> tuple[float, flo
 
 def time_decoding(model, sources: list[Array], max_length: int) -> list[dict]:
     """Wall-clock comparison of greedy vs beam-4 and beam-10 decoding (alpha
-    1), one sentence at a time, median over 3 passes after decoding the
-    first 5 sentences greedily as a warmup."""
+    1), one sentence at a time, median over 3 passes after decoding the first
+    5 sentences greedily as a warmup. A pass decodes each sentence with the
+    three in turn, so a change in the machine's load reaches all three alike."""
     configs = [BeamConfig(b, alpha, max_length) for b, alpha in ((1, 0.0), (4, 1.0), (10, 1.0))]
     for src in sources[:5]:  # warm caches and code paths
         decode_corpus(model, [src], configs[0])
 
-    results = []
-    greedy_median = None
-    for bc in configs:
-        totals = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            decode_corpus(model, sources, bc)
-            totals.append(time.perf_counter() - t0)
-        med = statistics.median(totals)
-        if bc.greedy:
-            greedy_median = med
-        results.append(
-            {
-                "mode": "greedy" if bc.greedy else f"beam{bc.beam_size}",
-                "beam_size": bc.beam_size,
-                "alpha": bc.length_penalty_alpha,
-                "median_wall_s": med,
-                "slowdown_vs_greedy": med / greedy_median if greedy_median else None,
-            }
-        )
-    return results
+    totals = [[0.0] * 3 for _ in configs]
+    for p in range(3):
+        for src in sources:
+            for bc, times in zip(configs, totals):
+                t0 = time.perf_counter()
+                decode_corpus(model, [src], bc)
+                times[p] += time.perf_counter() - t0
+    greedy_median = statistics.median(totals[0])
+    return [
+        {
+            "mode": "greedy" if bc.greedy else f"beam{bc.beam_size}",
+            "beam_size": bc.beam_size,
+            "alpha": bc.length_penalty_alpha,
+            "median_wall_s": statistics.median(times),
+            "slowdown_vs_greedy": statistics.median(times) / greedy_median if greedy_median else None,
+        }
+        for bc, times in zip(configs, totals)
+    ]
 
 
 @dataclass

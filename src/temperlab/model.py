@@ -187,7 +187,7 @@ class TransformerModel:
         if train and cfg.attention_dropout > 0.0:
             shape = (query_in.shape[0], cfg.num_heads, query_in.shape[1], key_in.shape[1])
             keep = tt.dropout_mask(shape, cfg.attention_dropout, rng)
-        ctx = tt.attention(q, k, v, cfg.num_heads, mask, keep)
+        ctx = tt.attention(q, k, v, cfg.num_heads, mask, keep, cfg.attention_dropout)
         return tt.linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
@@ -197,8 +197,8 @@ class TransformerModel:
     def _residual(self, x: Tensor, branch: Tensor, ln_prefix: str, train: bool, rng) -> Tensor:
         rate = self.config.layer_dropout
         keep = tt.dropout_mask(branch.shape, rate, rng) if train and rate > 0.0 else None
-        p = self.params
-        return tt.residual_norm(x, branch, keep, p[f"{ln_prefix}.gain"], p[f"{ln_prefix}.bias"], LN_EPS)
+        gain, bias = self.params[f"{ln_prefix}.gain"], self.params[f"{ln_prefix}.bias"]
+        return tt.residual_norm(x, branch, keep, rate, gain, bias, LN_EPS)
 
     def _encoder_stack(self, source: Array, train: bool, rng) -> Tensor:
         cfg = self.config

@@ -18,8 +18,9 @@ the labels, `sum_all` and `scale`. Each computes the same floats as the
 chain it replaces, forward and backward, in the same order, so training
 bits do not depend on which of the two builds the graph
 (`tests/test_tensor.py` checks this bit for bit); the one node saves tape
-nodes, temporaries and the gradients that nothing reads. `backward`
-consumes the tape, so what each node saved is freed while it runs.
+nodes, temporaries and the gradients that nothing reads. The tape holds
+identities and boolean dropout draws, not activations, and `backward`
+consumes it, so what each node saved is freed while it runs.
 
 `softmax` and `log_softmax` are the package's one stable softmax pair, on
 plain arrays; the primitives, the tempering diagnostics and decoding use it.
@@ -48,7 +49,7 @@ class Tensor:
     parameter vector wholesale instead of mutating it in place.
     """
 
-    __slots__ = ("array", "tracked", "__weakref__")
+    __slots__ = ("array", "tracked", "node", "__weakref__")  # `node`: set on a tape output only
 
     def __init__(self, values, tracked: bool = False):
         arr = np.asarray(values, dtype=np.float64, order="C")
@@ -85,19 +86,27 @@ def wrap(arr: Array, tracked: bool) -> Tensor:
 
 
 class _Node:
-    __slots__ = ("output", "inputs", "backward")
+    """A primitive application: its output by weak reference, each input by
+    its producing node (a leaf by itself, an untracked one as None), and its rule."""
+
+    __slots__ = ("_output", "inputs", "backward")
 
     def __init__(self, output, inputs, backward):
-        self.output = output
+        self._output = weakref.ref(output)
         self.inputs = inputs
         self.backward = backward
+
+    @property
+    def output(self) -> Tensor | None:
+        return self._output()
 
 
 class GradientTape:
     """Ordered record of primitive applications for reverse-mode replay.
 
     Nodes are appended in execution order, which is a topological order of
-    the computation graph, so `backward` can pop them from the end.
+    the computation graph, so `backward` can pop them from the end. It holds
+    identities and what the rules read, dropout as boolean draws (`backward`).
     """
 
     def __init__(self):
@@ -125,39 +134,50 @@ def _emit(arr: Array, inputs: tuple[Tensor, ...], backward) -> Tensor:
     tracked = tape is not None and any(t.tracked for t in inputs)
     out = wrap(arr, tracked)
     if tracked:
-        tape.nodes.append(_Node(out, inputs, backward))
+        out.node = _Node(out, tuple(getattr(t, "node", t) if t.tracked else None for t in inputs), backward)
+        tape.nodes.append(out.node)
     return out
 
 
 def backward(tape: GradientTape, loss: Tensor) -> dict[Tensor, Array]:
     """Accumulate gradients of `loss` w.r.t. every tracked tensor on the tape.
 
-    Consumes the tape: each node is popped as it is replayed, so what its
-    rule saved is freed once the rule has run. Returns a map keyed by tensor
-    identity for every tracked tensor that the caller still references; the
-    other intermediates and their gradients are freed before it returns.
-    Untracked leaves never appear; tracked leaves receive a gradient of
-    identical shape to their value.
+    The tape holds identities, not activations: a node refers to its output
+    weakly and to its inputs by their nodes, so an intermediate lives only
+    while the forward code or a rule holds it, and a dropout rule holds its
+    boolean draw. Gradients are keyed by node. Consumes the tape: each node
+    is popped, and its rule dropped, as it is replayed. Returns a map keyed
+    by tensor identity for every tracked tensor that the caller still
+    references. Untracked leaves never appear; tracked leaves receive a
+    gradient of identical shape to their value.
     """
     if loss.array.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    grads = {loss: np.ones((), dtype=np.float64)}
+    grads = {getattr(loss, "node", loss): np.ones((), dtype=np.float64)}
+    held = {}
     while tape.nodes:
         node = tape.nodes.pop()
-        g = grads.get(node.output)
+        rule, inputs = node.backward, node.inputs
+        node.backward = node.inputs = None  # a held output keeps its node alive
+        g = grads.pop(node, None)
         if g is None:
             continue
-        for inp, gi in zip(node.inputs, node.backward(g)):
-            if gi is None or not inp.tracked:
+        out = node.output
+        if out is not None:
+            held[out] = g
+        for inp, gi in zip(inputs, rule(g)):
+            if gi is None or inp is None:
                 continue
             acc = grads.get(inp)
             grads[inp] = gi if acc is None else acc + gi
-    # a plain dict until here: freeing each gradient as its tensor dies would
-    # make the allocator return and re-fault heap pages in every backward
-    node = inp = None  # the last node and input replayed would stay alive
-    held = weakref.WeakKeyDictionary(grads)
-    grads = None
-    return dict(held)
+    # what is left is keyed by leaves, and by nodes of a tape already
+    # replayed; the last node, rule and input replayed would stay alive
+    node = rule = inputs = inp = gi = out = None
+    held.update((k if isinstance(k, Tensor) else k.output, g) for k, g in grads.items())
+    held.pop(None, None)
+    live = weakref.WeakKeyDictionary(held)
+    held = grads = None
+    return dict(live)
 
 
 # ---------------------------------------------------------------------------
@@ -343,24 +363,27 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     return _emit(out, (x, gain, bias), lambda g: _layer_norm_backward(g, xhat, inv, gain.array))
 
 
-def residual_norm_forward(x: Array, branch: Array, keep: Array | None, gain: Array, bias: Array, eps: float):
-    """`layer_norm_forward` of x + branch * keep, or of x + branch when
-    `keep` is None, on plain arrays: the forward half of `residual_norm`."""
-    return layer_norm_forward(x + (branch if keep is None else branch * keep), gain, bias, eps)
+def residual_norm_forward(x: Array, branch: Array, scale: Array | None, gain: Array, bias: Array, eps: float):
+    """`layer_norm_forward` of x + branch * scale, or of x + branch when
+    `scale` is None, on plain arrays: the forward half of `residual_norm`."""
+    return layer_norm_forward(x + (branch if scale is None else branch * scale), gain, bias, eps)
 
 
-def residual_norm(x: Tensor, branch: Tensor, keep: Array | None, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+def residual_norm(
+    x: Tensor, branch: Tensor, keep: Array | None, rate: float, gain: Tensor, bias: Tensor, eps: float
+) -> Tensor:
     """`layer_norm(add(x, dropout(branch)), gain, bias, eps)` as one node,
-    with `keep` the dropout multiplier drawn for the branch, or None for no
-    dropout. It saves the normalised sum, the inverse deviation and `keep`."""
+    with `keep` the boolean dropout draw for the branch at `rate`, or None
+    for no dropout. It saves the normalised sum, the inverse deviation and `keep`."""
     if x.shape != branch.shape:
         raise ShapeError(f"residual_norm: shapes {x.shape} and {branch.shape} differ")
     _check_norm(x, gain, bias, eps)
-    out, xhat, inv = residual_norm_forward(x.array, branch.array, keep, gain.array, bias.array, eps)
+    scale = None if keep is None else dropout_scale(keep, rate)
+    out, xhat, inv = residual_norm_forward(x.array, branch.array, scale, gain.array, bias.array, eps)
 
     def bwd(g: Array):
         gx, ggain, gbias = _layer_norm_backward(g, xhat, inv, gain.array)
-        return gx, gx if keep is None else gx * keep, ggain, gbias
+        return gx, gx if keep is None else gx * dropout_scale(keep, rate), ggain, gbias
 
     return _emit(out, (x, branch, gain, bias), bwd)
 
@@ -395,26 +418,30 @@ def attention_weights(q: Array, k_t: Array, mask: Array | None) -> Array:
     return softmax(scores)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Array | None, keep: Array | None) -> Tensor:
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Array | None, keep: Array | None, rate: float
+) -> Tensor:
     """Multi-head scaled dot-product attention over [batch, len, model_dim]
     projections: split into `heads`, `attention_weights`, times the dropout
-    multiplier `keep` when given, times the values, heads merged again. The
-    backward is the chain rule through those steps in reverse."""
+    multiplier of the boolean draw `keep` at `rate` when given, times the
+    values, heads merged again. The backward is the chain rule through those
+    steps in reverse, with the dropped weights rebuilt from `w` and `keep`."""
     qm, vm, k_t = split_heads(q.array, heads), split_heads(v.array, heads), split_keys(k.array, heads)
     c = 1.0 / np.sqrt(qm.shape[-1])
     w = attention_weights(qm, k_t, mask)
     if not np.all(np.isfinite(w)):
         raise NumericError("attention: non-finite scores")
-    wd = w if keep is None else w * keep
+    wd = w if keep is None else w * dropout_scale(keep, rate)
 
     def bwd(g: Array):
         g = split_heads(g, heads)
         # g_s = w * (g_w - sum(g_w * w)) * c with g_w the weights' gradient,
         # in that operation order, in place
         g_s = g @ vm.swapaxes(-1, -2)
-        g_v = wd.swapaxes(-1, -2) @ g
+        scale = None if keep is None else dropout_scale(keep, rate)
+        g_v = (w if keep is None else w * scale).swapaxes(-1, -2) @ g
         if keep is not None:
-            g_s *= keep
+            g_s *= scale
         g_s -= np.add.reduce(g_s * w, axis=-1, keepdims=True)
         g_s *= w
         g_s *= c
@@ -508,18 +535,23 @@ def cross_entropy(logits: Tensor, labels: Array, logit_scale: float, factor: flo
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: kept units are divided by the keep probability.
 
-    The node keeps its mask, so the backward pass sees exactly the mask used
-    in the forward pass; it is `mul` by the mask as one node."""
+    The node keeps its boolean draw, so the backward pass sees exactly the
+    mask used in the forward pass; it is `mul` by the multiplier as one node."""
     if rate == 0.0:
         return x
     keep = dropout_mask(x.shape, rate, rng)
-    return _emit(x.array * keep, (x,), lambda g: (g * keep,))
+    return _emit(x.array * dropout_scale(keep, rate), (x,), lambda g: (g * dropout_scale(keep, rate),))
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> Array:
-    """Inverted-dropout multiplier: 0 with probability `rate`, else
-    1 / (1 - rate)."""
+    """Boolean inverted-dropout draw, False with probability `rate`: what the
+    tape saves, an eighth of the multiplier's bytes (`dropout_scale`)."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    return (rng.random(shape) >= rate) * (1.0 / (1.0 - rate))
+    return rng.random(shape) >= rate
+
+
+def dropout_scale(keep: Array, rate: float) -> Array:
+    """The multiplier of the draw `keep`: 0 where dropped, else 1 / (1 - rate)."""
+    return keep * (1.0 / (1.0 - rate))
 
