@@ -158,10 +158,17 @@ def entropy_views(logits: Array, token_mask: Array, temperature: float) -> tuple
     if not mask.any():
         raise ContractError("entropy_views needs at least one unmasked position")
     rows = np.asarray(logits, dtype=np.float64)[mask]
-    tempered = _entropy_rows(rows / temperature)
     raw = _entropy_rows(rows)
-    return float(tempered.mean()), float(raw.mean())
+    rows /= temperature  # a copy: boolean indexing
+    return float(_entropy_rows(rows).mean()), float(raw.mean())
 
 
 def _entropy_rows(rows: Array) -> Array:
-    return -(tt.softmax(rows) * tt.log_softmax(rows)).sum(axis=-1)
+    """-sum(softmax * log_softmax) per row, one shift, exp and row sum for both."""
+    z = rows - rows.max(axis=-1, keepdims=True)
+    p = np.exp(z)
+    s = np.add.reduce(p, axis=-1, keepdims=True)
+    z -= np.log(s)
+    p /= s
+    p *= z
+    return -np.add.reduce(p, axis=-1)

@@ -20,7 +20,9 @@ bits do not depend on which of the two builds the graph
 (`tests/test_tensor.py` checks this bit for bit); the one node saves tape
 nodes, temporaries and the gradients that nothing reads. The tape holds
 identities and boolean dropout draws, not activations, and `backward`
-consumes it, so what each node saved is freed while it runs.
+consumes it, so what each node saved is freed while it runs. The forward
+halves write in place only into arrays that they allocated, and `backward` only
+into sums that it allocated; `out=` gives a ufunc's out-of-place floats.
 
 `softmax` and `log_softmax` are the package's one stable softmax pair, on
 plain arrays; the primitives, the tempering diagnostics and decoding use it.
@@ -149,17 +151,20 @@ def backward(tape: GradientTape, loss: Tensor) -> dict[Tensor, Array]:
     is popped, and its rule dropped, as it is replayed. Returns a map keyed
     by tensor identity for every tracked tensor that the caller still
     references. Untracked leaves never appear; tracked leaves receive a
-    gradient of identical shape to their value.
+    gradient of identical shape to their value. A third and later contribution
+    is added in place into the sum that backward allocated for the second, never
+    into an array that a rule handed out (`add` hands one to both its inputs).
     """
     if loss.array.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     grads = {getattr(loss, "node", loss): np.ones((), dtype=np.float64)}
-    held = {}
+    held, owned = {}, set()  # owned: keys whose sum backward allocated
     while tape.nodes:
         node = tape.nodes.pop()
         rule, inputs = node.backward, node.inputs
         node.backward = node.inputs = None  # a held output keeps its node alive
         g = grads.pop(node, None)
+        owned.discard(node)
         if g is None:
             continue
         out = node.output
@@ -168,11 +173,16 @@ def backward(tape: GradientTape, loss: Tensor) -> dict[Tensor, Array]:
         for inp, gi in zip(inputs, rule(g)):
             if gi is None or inp is None:
                 continue
-            acc = grads.get(inp)
-            grads[inp] = gi if acc is None else acc + gi
+            if inp in owned:
+                grads[inp] += gi  # in place; a 0-d sum, a numpy scalar, is replaced
+            elif inp in grads:
+                grads[inp] = grads[inp] + gi
+                owned.add(inp)
+            else:
+                grads[inp] = gi
     # what is left is keyed by leaves, and by nodes of a tape already
     # replayed; the last node, rule and input replayed would stay alive
-    node = rule = inputs = inp = gi = out = None
+    node = rule = inputs = inp = gi = out = owned = None
     held.update((k if isinstance(k, Tensor) else k.output, g) for k, g in grads.items())
     held.pop(None, None)
     live = weakref.WeakKeyDictionary(held)
@@ -254,11 +264,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (x, w, b), bwd)
 
 
-def relu_forward(x: Array) -> Array:
-    """max(x, 0) as a new array, +0.0 wherever x <= 0 (-0.0 included): the
-    floats of `np.where(x > 0.0, x, 0.0)` in a fraction of its time. Adding
+def relu_forward(x: Array, out: Array | None = None) -> Array:
+    """max(x, 0) into `out` (default new), +0.0 wherever x <= 0 (-0.0 included):
+    the floats of `np.where(x > 0.0, x, 0.0)` in a fraction of its time. Adding
     +0.0 turns a -0.0 into +0.0 and leaves every other value alone."""
-    out = np.maximum(x, 0.0)
+    out = np.maximum(x, 0.0, out=out)
     out += 0.0
     return out
 
@@ -282,16 +292,22 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 def softmax(x: Array) -> Array:
     """Softmax of a plain array over its last axis, with max-subtraction."""
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax_shifted(x - x.max(axis=-1, keepdims=True))
+
+
+def _softmax_shifted(z: Array) -> Array:
+    """exp(z) over its row sum, in place in the max-shifted `z`."""
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
 def log_softmax(x: Array) -> Array:
     """Log-softmax of a plain array over its last axis, computed directly
     (not as the log of a softmax)."""
     z = x - x.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z -= np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+    return z
 
 
 def row_softmax(x: Tensor) -> Tensor:
@@ -326,11 +342,17 @@ def layer_norm_forward(x: Array, gain: Array, bias: Array, eps: float) -> tuple[
     normalised input and inverse standard deviation that the backward needs.
     A sum divided by the count is the same float as `mean`, without its
     per-call overhead."""
-    d = x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
-    xhat = xc * inv
-    return xhat * gain + bias, xhat, inv
+    return _normalise(x - np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1], gain, bias, eps)
+
+
+def _normalise(xc: Array, gain: Array, bias: Array, eps: float) -> tuple[Array, Array, Array]:
+    """`layer_norm_forward` of the centred `xc`, which becomes xhat in place."""
+    out = xc * xc
+    inv = 1.0 / np.sqrt(np.add.reduce(out, axis=-1, keepdims=True) / xc.shape[-1] + eps)
+    xc *= inv
+    np.multiply(xc, gain, out=out)
+    out += bias
+    return out, xc, inv
 
 
 def _layer_norm_backward(g: Array, xhat: Array, inv: Array, gain: Array) -> tuple[Array, Array, Array]:
@@ -366,7 +388,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 def residual_norm_forward(x: Array, branch: Array, scale: Array | None, gain: Array, bias: Array, eps: float):
     """`layer_norm_forward` of x + branch * scale, or of x + branch when
     `scale` is None, on plain arrays: the forward half of `residual_norm`."""
-    return layer_norm_forward(x + (branch if scale is None else branch * scale), gain, bias, eps)
+    s = x + branch if scale is None else branch * scale
+    if scale is not None:
+        s += x
+    s -= np.add.reduce(s, axis=-1, keepdims=True) / s.shape[-1]
+    return _normalise(s, gain, bias, eps)
 
 
 def residual_norm(
@@ -383,7 +409,7 @@ def residual_norm(
 
     def bwd(g: Array):
         gx, ggain, gbias = _layer_norm_backward(g, xhat, inv, gain.array)
-        return gx, gx if keep is None else gx * dropout_scale(keep, rate), ggain, gbias
+        return gx, gx if keep is None else _dropped(gx, keep, rate), ggain, gbias
 
     return _emit(out, (x, branch, gain, bias), bwd)
 
@@ -412,10 +438,12 @@ def attention_weights(q: Array, k_t: Array, mask: Array | None) -> Array:
     head_dim] queries: the forward half of `attention` before its optional
     dropout. `k_t` holds the keys with their last two axes swapped; `mask`
     is additive and broadcast."""
-    scores = (q @ k_t) * (1.0 / np.sqrt(q.shape[-1]))
+    scores = q @ k_t
+    scores *= 1.0 / np.sqrt(q.shape[-1])
     if mask is not None:
-        scores = scores + mask
-    return softmax(scores)
+        scores += mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    return _softmax_shifted(scores)
 
 
 def attention(
@@ -431,17 +459,18 @@ def attention(
     w = attention_weights(qm, k_t, mask)
     if not np.all(np.isfinite(w)):
         raise NumericError("attention: non-finite scores")
-    wd = w if keep is None else w * dropout_scale(keep, rate)
+    wd = w if keep is None else _dropped(w, keep, rate)
 
     def bwd(g: Array):
         g = split_heads(g, heads)
         # g_s = w * (g_w - sum(g_w * w)) * c with g_w the weights' gradient,
         # in that operation order, in place
         g_s = g @ vm.swapaxes(-1, -2)
-        scale = None if keep is None else dropout_scale(keep, rate)
-        g_v = (w if keep is None else w * scale).swapaxes(-1, -2) @ g
+        wd = w if keep is None else dropout_scale(keep, rate)
         if keep is not None:
-            g_s *= scale
+            g_s *= wd
+            wd *= w
+        g_v = wd.swapaxes(-1, -2) @ g
         g_s -= np.add.reduce(g_s * w, axis=-1, keepdims=True)
         g_s *= w
         g_s *= c
@@ -455,8 +484,12 @@ def attention(
 def feed_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> tuple[Array, Array]:
     """relu(x @ w1 + b1) @ w2 + b2 on plain arrays: the output and the
     hidden activations, the forward half of `ffn`."""
-    h = relu_forward(x @ w1 + b1)
-    return h @ w2 + b2, h
+    h = x @ w1
+    h += b1
+    relu_forward(h, out=h)
+    out = h @ w2
+    out += b2
+    return out, h
 
 
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -480,7 +513,10 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 def embedding(table: Array, ids: Array, positions: Array) -> Array:
     """table[ids] * sqrt(dim) + positions on plain arrays, the forward half
     of `embed`; `positions` [len, dim] is broadcast over the leading axes."""
-    return table[ids] * np.sqrt(table.shape[1]) + positions
+    out = table[ids]
+    out *= np.sqrt(table.shape[1])
+    out += positions
+    return out
 
 
 def embed(table: Tensor, ids: Array, positions: Array) -> Tensor:
@@ -540,7 +576,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     if rate == 0.0:
         return x
     keep = dropout_mask(x.shape, rate, rng)
-    return _emit(x.array * dropout_scale(keep, rate), (x,), lambda g: (g * dropout_scale(keep, rate),))
+    return _emit(_dropped(x.array, keep, rate), (x,), lambda g: (_dropped(g, keep, rate),))
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> Array:
@@ -555,3 +591,9 @@ def dropout_scale(keep: Array, rate: float) -> Array:
     """The multiplier of the draw `keep`: 0 where dropped, else 1 / (1 - rate)."""
     return keep * (1.0 / (1.0 - rate))
 
+
+def _dropped(a: Array, keep: Array, rate: float) -> Array:
+    """a * dropout_scale(keep, rate), computed in the multiplier's new array."""
+    m = dropout_scale(keep, rate)
+    m *= a
+    return m

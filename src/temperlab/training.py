@@ -168,32 +168,33 @@ def global_gradient_norm(grads: dict[str, Array]) -> float:
 
 
 class AdamState:
-    """Adam's moment vectors over a model's parameter vector, updated in place."""
+    """Adam's moment vectors, updated in place, and one reused scratch vector."""
 
     def __init__(self, params: dict[str, Tensor]):
         size = sum(p.size for p in params.values())
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self._scratch = (np.empty(size), np.empty(size))
+        self._scratch = np.empty(size)
         self.t = 0
 
     def update(self, flat: Array, grad: Array, lr: float, cfg: TrainerConfig) -> Array:
-        """The parameter vector after one Adam step from `flat`, as a new one.
-        In place, yet in the operation order of m = b1 m + (1 - b1) g,
-        v = b2 v + (1 - b2) g g and flat - lr mhat / (sqrt(vhat) + eps)."""
+        """The parameter vector after one Adam step from `flat`, as a new one;
+        `flat` and `grad` are read only. In place in `m`, `v`, the scratch and
+        the new vector, yet in the operation order (so the floats) of
+        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and flat - lr mhat / (sqrt(vhat) + eps)."""
         self.t += 1
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-        a, b = self._scratch
+        a = self._scratch
         self.m *= b1
         self.m += np.multiply(grad, 1.0 - b1, out=a)
         self.v *= b2
         self.v += np.multiply(np.multiply(grad, 1.0 - b2, out=a), grad, out=a)
         np.sqrt(np.divide(self.v, 1.0 - b2**self.t, out=a), out=a)  # sqrt(vhat)
         a += cfg.adam_eps
-        np.divide(self.m, 1.0 - b1**self.t, out=b)  # mhat
+        b = np.divide(self.m, 1.0 - b1**self.t)  # mhat, in the vector returned
         b *= lr
         b /= a
-        return flat - b
+        return np.subtract(flat, b, out=b)
 
 
 @dataclass

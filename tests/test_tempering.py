@@ -312,3 +312,6 @@ def test_entropy_views_agree_with_scalar_entropy(rng):
     assert r_h == pytest.approx(expected_r, abs=1e-12)
     # masked positions carry zero weight
     assert entropy_views(logits, mask, 2.0) != entropy_views(logits, np.ones_like(mask), 2.0)
+    # one shift, exp and row sum per view: the floats of the softmax pair
+    for h, z in ((t_h, rows / 2.0), (r_h, rows)):
+        assert h == float((-(tt.softmax(z) * tt.log_softmax(z)).sum(axis=-1)).mean())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -375,8 +377,45 @@ def test_relu_equals_where_bitwise_on_signed_zeros_and_subnormals():
     tiny = np.finfo(np.float64).smallest_subnormal
     h = np.array([-0.0, 0.0, tiny, -tiny, 2.0 * tiny, -1.5, 3.0, -np.inf, np.inf])
     where = np.where(h > 0.0, h, 0.0)
-    for out in (tt.relu_forward(h), tt.relu(tt.wrap(h, False)).array):
+    hc = h.copy()  # in place, as `feed_forward` applies it
+    for out in (tt.relu_forward(h), tt.relu_forward(hc, out=hc), tt.relu(tt.wrap(h, False)).array):
         assert out.tobytes() == where.tobytes()  # -0.0 comes out as +0.0, as np.where gives
+
+
+def test_forward_halves_allocate_no_more_than_they_return(rng):
+    # tracemalloc peak of one call, as a multiple of the 32x20x64 input's
+    # bytes: what the call returns, numpy's 8192-float ufunc buffer (0.2),
+    # and no full-size temporary but log_softmax's exp
+    x, branch = rng.normal(size=(32, 20, 64)), rng.normal(size=(32, 20, 64))
+    gain, bias = rng.normal(size=64), rng.normal(size=64)
+    q, k_t = tt.split_heads(x, 4), tt.split_keys(branch, 4)
+    mask = np.where(rng.random((32, 1, 1, 20)) < 0.2, -1e9, 0.0)
+    scale = tt.dropout_scale(tt.dropout_mask(x.shape, 0.1, rng), 0.1)
+    w1, b1, w2, b2 = rng.normal(size=(64, 128)), rng.normal(size=128), rng.normal(size=(128, 64)), rng.normal(size=64)
+    table, ids = rng.normal(size=(50, 64)), rng.integers(0, 50, size=(32, 20))
+    cases = (
+        (2.5, tt.layer_norm_forward, (x, gain, bias, 1e-6)),  # returns 2x
+        (1.5, tt.softmax, (x,)),
+        (2.1, tt.log_softmax, (x,)),
+        (2.0, tt.attention_weights, (q, k_t, mask)),  # returns 1.25x
+        (2.5, tt.residual_norm_forward, (x, branch, scale, gain, bias, 1e-6)),  # returns 2x
+        (3.5, tt.feed_forward, (x, w1, b1, w2, b2)),  # returns 3x
+        (1.5, tt.embedding, (table, ids, x[0])),
+    )
+    for bound, fn, args in cases:
+        before = [a.copy() for a in args if isinstance(a, np.ndarray)]
+        fn(*args)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn(*args)
+            ratio = (tracemalloc.get_traced_memory()[1] - held) / x.nbytes
+        finally:
+            tracemalloc.stop()
+        assert ratio <= bound, (fn.__name__, ratio)
+        after = [a for a in args if isinstance(a, np.ndarray)]
+        assert all(u.tobytes() == v.tobytes() for u, v in zip(before, after)), fn.__name__
 
 
 def test_attention_and_ffn_gradients_match_finite_differences(rng):
@@ -494,6 +533,24 @@ def test_repeated_operand_accumulates(rng):
         loss = tt.sum_all(tt.mul(x, x))  # both operands are the same tensor
     fd = finite_difference_gradient(lambda t: tt.sum_all(tt.mul(t, t)), x)
     assert rel_err(backward(tape, loss)[x], fd.array) < 1e-6
+
+
+def test_in_place_sums_never_write_into_a_handed_out_gradient(rng):
+    # residual_norm without dropout hands one array to x and to b; x then
+    # receives two more contributions, the first into a new sum and the
+    # second in place into it. Every gradient must equal fresh `acc + gi` sums
+    x, b, gain, bias = (Tensor(rng.normal(size=s), tracked=True) for s in ((3, 4, 5), (3, 4, 5), 5, 5))
+    w = rng.normal(size=(3, 4, 5))
+    with GradientTape() as tape:
+        x2, x3 = tt.scale(x, 3.0), tt.scale(x, -0.5)
+        r = tt.residual_norm(x, b, None, 0.0, gain, bias, 1e-6)
+        loss = tt.sum_all(tt.mul(tt.add(tt.add(r, x2), x3), Tensor(w)))
+    grads = backward(tape, loss)
+    _, xhat, inv = tt.residual_norm_forward(x.array, b.array, None, gain.array, bias.array, 1e-6)
+    gx, ggain, gbias = tt._layer_norm_backward(np.ones(w.shape) * w, xhat, inv, gain.array)
+    want = {x: gx + w * -0.5 + w * 3.0, b: gx, gain: ggain, bias: gbias, x2: w, x3: w, r: w}
+    for t, g in want.items():
+        assert grads[t].tobytes() == g.tobytes()
 
 
 def test_tape_node_shows_its_held_output_and_runs_an_assigned_rule(rng):

@@ -181,6 +181,40 @@ def test_adam_update_equals_per_tensor_reference_bitwise():
             assert got.tobytes() == np.concatenate([a.ravel() for a in want.values()]).tobytes(), t
 
 
+def test_adam_update_aliases_nothing():
+    # one scratch vector, and the result in a new one: an update writes
+    # neither its inputs nor the vector that the previous update returned,
+    # and two steps equal the earlier two-scratch expression bitwise
+    rng = np.random.default_rng(5)
+    flat = rng.uniform(-1, 1, size=500)
+    adam = AdamState({"p": Tensor(flat, tracked=True)})
+    m, v, want = np.zeros(500), np.zeros(500), flat
+    cfg = TrainerConfig()
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    outs = []
+    for t in (1, 2):
+        grad = rng.normal(size=500)
+        args = [flat, grad, *outs]
+        before = [a.copy() for a in args]
+        flat = adam.update(flat, grad, 0.1 * t, cfg)
+        assert all(a.tobytes() == c.tobytes() for a, c in zip(args, before)), t
+        assert not any(np.shares_memory(flat, a) for a in args), t
+        outs.append(flat)
+        a, b = np.empty(500), np.empty(500)
+        m *= b1
+        m += np.multiply(grad, 1.0 - b1, out=a)
+        v *= b2
+        v += np.multiply(np.multiply(grad, 1.0 - b2, out=a), grad, out=a)
+        np.sqrt(np.divide(v, 1.0 - b2**t, out=a), out=a)
+        a += cfg.adam_eps
+        np.divide(m, 1.0 - b1**t, out=b)
+        b *= 0.1 * t
+        b /= a
+        want = want - b
+        for got, ref in ((flat, want), (adam.m, m), (adam.v, v)):
+            assert got.tobytes() == ref.tobytes(), t
+
+
 def test_train_step_leaves_its_input_model_unchanged():
     data = micro_data()
     model = micro_model(data)
