@@ -19,8 +19,9 @@ chain it replaces, forward and backward, in the same order, so training
 bits do not depend on which of the two builds the graph
 (`tests/test_tensor.py` checks this bit for bit); the one node saves tape
 nodes, temporaries and the gradients that nothing reads. The tape holds
-identities and boolean dropout draws, not activations, and `backward`
-consumes it, so what each node saved is freed while it runs. The forward
+identities, packed dropout draws and each activation once (a norm's output is
+rebuilt from its node's `xhat`), and `backward` consumes it, so what each node
+saved is freed while it runs; parameters must not change before it. The forward
 halves write in place only into arrays that they allocated, and `backward` only
 into sums that it allocated; `out=` gives a ufunc's out-of-place floats.
 
@@ -51,7 +52,7 @@ class Tensor:
     parameter vector wholesale instead of mutating it in place.
     """
 
-    __slots__ = ("array", "tracked", "node", "__weakref__")  # `node`: set on a tape output only
+    __slots__ = ("array", "tracked", "node", "recipe", "__weakref__")  # node, recipe: tape outputs only
 
     def __init__(self, values, tracked: bool = False):
         arr = np.asarray(values, dtype=np.float64, order="C")
@@ -108,7 +109,7 @@ class GradientTape:
 
     Nodes are appended in execution order, which is a topological order of
     the computation graph, so `backward` can pop them from the end. It holds
-    identities and what the rules read, dropout as boolean draws (`backward`).
+    identities and what the rules read, each activation once (`backward`).
     """
 
     def __init__(self):
@@ -146,8 +147,10 @@ def backward(tape: GradientTape, loss: Tensor) -> dict[Tensor, Array]:
 
     The tape holds identities, not activations: a node refers to its output
     weakly and to its inputs by their nodes, so an intermediate lives only
-    while the forward code or a rule holds it, and a dropout rule holds its
-    boolean draw. Gradients are keyed by node. Consumes the tape: each node
+    while the forward code or a rule holds it. A rule holds a dropout draw as
+    packed bits, and a norm output as the recipe that rebuilds it from the
+    norm's `xhat` (`residual_norm`); parameters must not change before
+    `backward`. Gradients are keyed by node. Consumes the tape: each node
     is popped, and its rule dropped, as it is replayed. Returns a map keyed
     by tensor identity for every tracked tensor that the caller still
     references. Untracked leaves never appear; tracked leaves receive a
@@ -247,6 +250,12 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     return _emit(x.array + bm, (x, b), bwd)
 
 
+def _saved(x: Tensor):
+    """What a rule keeps of its input `x`: a call that returns its array, the
+    recipe that rebuilds it when it has one."""
+    return getattr(x, "recipe", None) or (lambda a=x.array: a)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for a 2-D `w` and a 1-D `b`: `bias_add(matmul(x, w), b)`
     as one node."""
@@ -256,10 +265,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = xm @ wm
     out += bm
     k, n = wm.shape
+    xs = _saved(x)
 
     def bwd(g: Array):
         g2 = g.reshape(-1, n)
-        return g @ wm.T, xm.reshape(-1, k).T @ g2, g2.sum(axis=0)
+        return g @ wm.T, xs().reshape(-1, k).T @ g2, g2.sum(axis=0)
 
     return _emit(out, (x, w, b), bwd)
 
@@ -400,18 +410,31 @@ def residual_norm(
 ) -> Tensor:
     """`layer_norm(add(x, dropout(branch)), gain, bias, eps)` as one node,
     with `keep` the boolean dropout draw for the branch at `rate`, or None
-    for no dropout. It saves the normalised sum, the inverse deviation and `keep`."""
+    for no dropout. It saves `xhat`, the inverse deviation and `keep` packed. A tracked
+    output's `recipe` rebuilds it from `xhat` with the forward's own ufuncs, so in its
+    floats; its consumers' rules share one rebuild, which this node's rule, run last, drops."""
     if x.shape != branch.shape:
         raise ShapeError(f"residual_norm: shapes {x.shape} and {branch.shape} differ")
     _check_norm(x, gain, bias, eps)
     scale = None if keep is None else dropout_scale(keep, rate)
     out, xhat, inv = residual_norm_forward(x.array, branch.array, scale, gain.array, bias.array, eps)
+    packed, memo = _pack(keep), []
+
+    def rebuild() -> Array:
+        if not memo:
+            memo.append(np.multiply(xhat, gain.array))
+            memo[0] += bias.array
+        return memo[0]
 
     def bwd(g: Array):
+        memo.clear()
         gx, ggain, gbias = _layer_norm_backward(g, xhat, inv, gain.array)
-        return gx, gx if keep is None else _dropped(gx, keep, rate), ggain, gbias
+        return gx, gx if packed is None else _dropped(gx, _unpack(packed), rate), ggain, gbias
 
-    return _emit(out, (x, branch, gain, bias), bwd)
+    y = _emit(out, (x, branch, gain, bias), bwd)
+    if y.tracked:
+        y.recipe = rebuild
+    return y
 
 
 def split_heads(x: Array, heads: int) -> Array:
@@ -453,21 +476,22 @@ def attention(
     projections: split into `heads`, `attention_weights`, times the dropout
     multiplier of the boolean draw `keep` at `rate` when given, times the
     values, heads merged again. The backward is the chain rule through those
-    steps in reverse, with the dropped weights rebuilt from `w` and `keep`."""
+    steps in reverse, with the dropped weights rebuilt from `w` and `keep` (saved packed)."""
     qm, vm, k_t = split_heads(q.array, heads), split_heads(v.array, heads), split_keys(k.array, heads)
     c = 1.0 / np.sqrt(qm.shape[-1])
     w = attention_weights(qm, k_t, mask)
     if not np.all(np.isfinite(w)):
         raise NumericError("attention: non-finite scores")
     wd = w if keep is None else _dropped(w, keep, rate)
+    packed = _pack(keep)
 
     def bwd(g: Array):
         g = split_heads(g, heads)
         # g_s = w * (g_w - sum(g_w * w)) * c with g_w the weights' gradient,
         # in that operation order, in place
         g_s = g @ vm.swapaxes(-1, -2)
-        wd = w if keep is None else dropout_scale(keep, rate)
-        if keep is not None:
+        wd = w if packed is None else dropout_scale(_unpack(packed), rate)
+        if packed is not None:
             g_s *= wd
             wd *= w
         g_v = wd.swapaxes(-1, -2) @ g
@@ -496,6 +520,7 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Position-wise feed-forward block with a ReLU hidden layer."""
     xm, w1m, w2m = x.array, w1.array, w2.array
     out, h = feed_forward(xm, w1m, b1.array, w2m, b2.array)
+    xs = _saved(x)
 
     def bwd(g: Array):
         d, hidden = w2m.shape[1], w2m.shape[0]
@@ -504,7 +529,7 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         g_h = g @ w2m.swapaxes(-1, -2)
         g_h *= h > 0.0
         g_b1 = g_h.reshape(-1, hidden).sum(axis=0)
-        g_w1 = xm.reshape(-1, xm.shape[-1]).T @ g_h.reshape(-1, hidden)
+        g_w1 = xs().reshape(-1, w1m.shape[0]).T @ g_h.reshape(-1, hidden)
         return g_h @ w1m.swapaxes(-1, -2), g_w1, g_b1, g_w2, g_b2
 
     return _emit(out, (x, w1, b1, w2, b2), bwd)
@@ -571,20 +596,31 @@ def cross_entropy(logits: Tensor, labels: Array, logit_scale: float, factor: flo
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: kept units are divided by the keep probability.
 
-    The node keeps its boolean draw, so the backward pass sees exactly the
-    mask used in the forward pass; it is `mul` by the multiplier as one node."""
+    The node keeps its boolean draw packed, so the backward pass sees exactly
+    the mask used in the forward pass; it is `mul` by the multiplier as one node."""
     if rate == 0.0:
         return x
     keep = dropout_mask(x.shape, rate, rng)
-    return _emit(_dropped(x.array, keep, rate), (x,), lambda g: (_dropped(g, keep, rate),))
+    packed = _pack(keep)
+    return _emit(_dropped(x.array, keep, rate), (x,), lambda g: (_dropped(g, _unpack(packed), rate),))
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> Array:
-    """Boolean inverted-dropout draw, False with probability `rate`: what the
-    tape saves, an eighth of the multiplier's bytes (`dropout_scale`)."""
+    """Boolean inverted-dropout draw, False with probability `rate`; the tape
+    saves it packed, a 64th of the multiplier's bytes (`dropout_scale`)."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     return rng.random(shape) >= rate
+
+
+def _pack(keep: Array | None):
+    """A boolean draw as its packed bits, an eighth of its bytes, its shape and size."""
+    return None if keep is None else (np.packbits(keep), keep.shape, keep.size)
+
+
+def _unpack(packed) -> Array:
+    bits, shape, size = packed
+    return np.unpackbits(bits, count=size).reshape(shape).view(bool)
 
 
 def dropout_scale(keep: Array, rate: float) -> Array:

@@ -142,11 +142,14 @@ def average_checkpoints(checkpoints: list[Checkpoint]) -> Checkpoint:
         if ck.config != first.config or ck.flat.shape != first.flat.shape:
             raise ContractError("checkpoints disagree on the model configuration")
     # anchored mean: bitwise identity for identical snapshots (deltas are 0),
-    # and a better-conditioned sum in general
-    deltas = np.mean([ck.flat - first.flat for ck in checkpoints], axis=0)
-    return Checkpoint(
-        flat=first.flat + deltas, config=first.config, step=max(ck.step for ck in checkpoints)
-    )
+    # and a better-conditioned sum in general. Summed in order, one delta at a
+    # time: the floats of `np.mean` over their stack, in 2 vectors, not 2K
+    total = first.flat - first.flat
+    for ck in checkpoints[1:]:
+        total += ck.flat - first.flat
+    total /= len(checkpoints)
+    total += first.flat
+    return Checkpoint(flat=total, config=first.config, step=max(ck.step for ck in checkpoints))
 
 
 def should_stop(history: list[float], patience: int, min_delta: float) -> bool:
@@ -168,23 +171,22 @@ def global_gradient_norm(grads: dict[str, Array]) -> float:
 
 
 class AdamState:
-    """Adam's moment vectors, updated in place, and one reused scratch vector."""
+    """Adam's moment vectors, updated in place; nothing else is held between steps."""
 
     def __init__(self, params: dict[str, Tensor]):
         size = sum(p.size for p in params.values())
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self._scratch = np.empty(size)
         self.t = 0
 
     def update(self, flat: Array, grad: Array, lr: float, cfg: TrainerConfig) -> Array:
         """The parameter vector after one Adam step from `flat`, as a new one;
-        `flat` and `grad` are read only. In place in `m`, `v`, the scratch and
+        `flat` and `grad` are read only. In place in `m`, `v`, a fresh scratch and
         the new vector, yet in the operation order (so the floats) of
         m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and flat - lr mhat / (sqrt(vhat) + eps)."""
         self.t += 1
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-        a = self._scratch
+        a = np.empty_like(flat)
         self.m *= b1
         self.m += np.multiply(grad, 1.0 - b1, out=a)
         self.v *= b2
@@ -239,6 +241,8 @@ def train_step(
         raise NumericError(f"step {step} batch {batch.index}: {exc}") from exc
     if not np.isfinite(loss_value):
         raise NumericError(f"non-finite loss at step {step} batch {batch.index}")
+    tempered_h, raw_h = entropy_views(logits.array, batch.target_mask, tempering.temperature)
+    logits = None  # so that neither the logits nor their gradient outlive the forward
     grad_map = backward(tape, loss)
     grad = np.empty_like(model.flat)
     grads = parameter_views(model.config, grad)
@@ -246,7 +250,6 @@ def train_step(
         grads[name][...] = grad_map.get(p, 0.0)
     norm = global_gradient_norm(grads)
     new_flat = adam.update(model.flat, grad, learning_rate(step, trainer), trainer)
-    tempered_h, raw_h = entropy_views(logits.array, batch.target_mask, tempering.temperature)
     record = StepRecord(
         step=step,
         loss=loss_value,

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -370,6 +371,46 @@ def test_residual_norm_equals_dropout_add_layer_norm_bitwise(rng):
         tt.residual_norm_forward(x.array, branch.array, None, inputs[2].array, inputs[3].array, 1e-6)[0],
         tt.layer_norm(tt.add(x, branch), inputs[2], inputs[3], 1e-6).array,
     )
+
+
+def test_a_norm_output_is_rebuilt_for_its_consumers_not_held(rng):
+    # residual_norm's output feeds three linears (as q, k and v) and an ffn,
+    # as in the model. They keep its recipe, not its array, so the array dies
+    # with the forward's reference; their rules share one rebuild until the
+    # norm's rule runs, and every gradient equals that of the same graph fed
+    # the output without a recipe
+    x, branch, gain, bias = residual_inputs(rng)
+    proj = [Tensor(rng.normal(size=s), tracked=True) for _ in range(3) for s in ((4, 4), (4,))]
+    ff = ffn_inputs(rng)[1:]
+    inputs = (x, branch, gain, bias, *proj, *ff)
+    weights = [Tensor(rng.normal(size=(2, 3, 4))) for _ in range(4)]
+    for rate in (0.0, 0.3):
+        keep = tt.dropout_mask(branch.shape, rate, np.random.default_rng(9)) if rate else None
+        runs, handed = [], []
+        for rebuilt in (False, True):
+            with GradientTape() as tape:
+                y = tt.residual_norm(x, branch, keep, rate, gain, bias, 1e-6)
+                node, recipe, forward_bytes, dead = y.node, y.recipe, y.array.tobytes(), weakref.ref(y.array)
+                if rebuilt:
+                    y.recipe = lambda: handed.append(recipe()) or handed[-1]
+                else:
+                    del y.recipe
+                outs = [tt.linear(y, proj[i], proj[i + 1]) for i in (0, 2, 4)] + [tt.ffn(y, *ff)]
+                del y
+                losses = [tt.sum_all(tt.mul(out, w)) for out, w in zip(outs, weights)]
+                del outs
+                loss = tt.add(tt.add(losses[0], losses[1]), tt.add(losses[2], losses[3]))
+            assert (dead() is None) == rebuilt, rate
+            rule = node.backward
+            node.backward = lambda g: handed.append("norm rule") or rule(g)
+            grads = backward(tape, loss)
+            runs.append([grads[t] for t in inputs])
+        # the plain run's norm rule, then the four consumer rules and the norm rule
+        assert len(handed) == 6 and handed[0] == handed[5] == "norm rule", rate
+        assert all(a is handed[1] for a in handed[1:5]) and handed[1].tobytes() == forward_bytes, rate
+        fresh = recipe()  # the norm's rule has dropped the shared rebuild
+        assert fresh is not handed[1] and fresh.tobytes() == forward_bytes, rate
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(*runs)), rate
 
 
 def test_relu_equals_where_bitwise_on_signed_zeros_and_subnormals():

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,25 @@ def test_average_permutation_invariant():
     assert np.max(np.abs(a.flat - b.flat)) <= 1e-15
 
 
+def test_average_streams_the_mean_of_the_stacked_deltas():
+    # the deltas summed one at a time and divided by K are the bytes of
+    # np.mean over their stack, which numpy sums row by row; holding two
+    # vectors, not the K deltas and their stack
+    rng = np.random.default_rng(3)
+    cks = [Checkpoint(flat=rng.normal(size=180_548), config=None, step=i) for i in range(10)]
+    for k in (1, 2, 3, 5, 10):
+        first = cks[0].flat
+        want = first + np.mean([ck.flat - first for ck in cks[:k]], axis=0)
+        assert average_checkpoints(cks[:k]).flat.tobytes() == want.tobytes(), k
+    tracemalloc.start()
+    try:
+        average_checkpoints(cks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * cks[0].flat.nbytes, peak
+
+
 def test_average_shape_mismatch_rejected():
     a = Checkpoint(flat=np.zeros(3), config=None, step=1)
     b = Checkpoint(flat=np.zeros(4), config=None, step=2)
@@ -181,10 +201,21 @@ def test_adam_update_equals_per_tensor_reference_bitwise():
             assert got.tobytes() == np.concatenate([a.ravel() for a in want.values()]).tobytes(), t
 
 
+def test_adam_holds_only_its_moments_between_updates():
+    rng = np.random.default_rng(6)
+    flat = rng.uniform(-1, 1, size=500)
+    adam = AdamState({"p": Tensor(flat, tracked=True)})
+    for step in range(3):
+        held = [a for a in vars(adam).values() if isinstance(a, np.ndarray)]
+        assert sum(a.nbytes for a in held) == 2 * flat.nbytes, step
+        flat = adam.update(flat, rng.normal(size=500), 0.1, TrainerConfig())
+
+
 def test_adam_update_aliases_nothing():
-    # one scratch vector, and the result in a new one: an update writes
-    # neither its inputs nor the vector that the previous update returned,
-    # and two steps equal the earlier two-scratch expression bitwise
+    # one scratch vector that the update allocates and drops, and the result
+    # in a new one: an update writes neither its inputs nor the vector that
+    # the previous update returned, and two steps equal the earlier
+    # two-scratch expression bitwise
     rng = np.random.default_rng(5)
     flat = rng.uniform(-1, 1, size=500)
     adam = AdamState({"p": Tensor(flat, tracked=True)})
