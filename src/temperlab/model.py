@@ -461,6 +461,8 @@ def load_checkpoint(path) -> tuple[TransformerModel, int]:
                 found[name] = arr.shape
                 if arr.shape == expected.get(name):
                     views[name][...] = arr
+                    if not np.all(np.isfinite(arr)):
+                        raise DataError(f"checkpoint {path} parameter {name} holds non-finite values")
     except (ValueError, TypeError, zipfile.BadZipFile) as exc:
         raise DataError(f"checkpoint {path} is not an .npz archive: {exc}") from exc
     if found != expected:

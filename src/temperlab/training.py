@@ -11,9 +11,11 @@ recorded norm curves are unclipped.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -286,6 +288,14 @@ def evaluate_checkpoint(model: TransformerModel, data: TaskData, split: str = "d
     return corpus_bleu(greedy_outputs(model, data, split), [tgt for _, tgt in getattr(data, split)])
 
 
+def epoch_batches(encoded: list[tuple[Array, Array]], trainer: TrainerConfig) -> Iterator[Batch]:
+    """The batches of epochs 0, 1, ... without end, epoch e shuffled with the seed of
+    `(trainer.seed, 2, e)`. `train` zips its step range with it, range first, so none past max_steps is made."""
+    for epoch in itertools.count():
+        epoch_seed = int(np.random.SeedSequence((trainer.seed, 2, epoch)).generate_state(1)[0])
+        yield from make_batches(encoded, trainer.batch_size, seed=epoch_seed)
+
+
 def train(
     model: TransformerModel,
     data: TaskData,
@@ -303,33 +313,21 @@ def train(
     history: list[float] = []
     dropout_rng = np.random.default_rng(np.random.SeedSequence((trainer.seed, 1)))
 
-    step = 0
-    epoch = 0
-    stopped = False
-    while step < trainer.max_steps and not stopped:
-        epoch_seed = int(np.random.SeedSequence((trainer.seed, 2, epoch)).generate_state(1)[0])
-        batches = make_batches(encoded, trainer.batch_size, seed=epoch_seed)
-        epoch += 1
-        for batch in batches:
-            step += 1
-            model, step_rec = train_step(model, batch, tempering, trainer, adam, step, dropout_rng)
-            record.steps.append(step_rec)
-            if step % trainer.eval_interval == 0:
-                ckpt = snapshot(model, step)
-                checkpoints.append(ckpt)
+    for step, batch in zip(range(1, trainer.max_steps + 1), epoch_batches(encoded, trainer)):
+        model, step_rec = train_step(model, batch, tempering, trainer, adam, step, dropout_rng)
+        record.steps.append(step_rec)
+        if step % trainer.eval_interval == 0:
+            ckpt = snapshot(model, step)
+            checkpoints.append(ckpt)
+            if checkpoint_dir is not None:
+                save_checkpoint(f"{checkpoint_dir}/{ckpt.checkpoint_id}.npz", model, step)
+            if len(checkpoints) > trainer.checkpoint_keep:
+                dropped = checkpoints.pop(0)
                 if checkpoint_dir is not None:
-                    save_checkpoint(f"{checkpoint_dir}/{ckpt.checkpoint_id}.npz", model, step)
-                if len(checkpoints) > trainer.checkpoint_keep:
-                    dropped = checkpoints.pop(0)
-                    if checkpoint_dir is not None:
-                        os.remove(f"{checkpoint_dir}/{dropped.checkpoint_id}.npz")
-                dev_bleu = evaluate_checkpoint(model, data, "dev")
-                record.evals.append(
-                    EvalRecord(step=step, dev_bleu=dev_bleu, checkpoint_id=ckpt.checkpoint_id)
-                )
-                history.append(dev_bleu)
-                if should_stop(history, trainer.patience, trainer.min_delta):
-                    stopped = True
-            if step >= trainer.max_steps or stopped:
+                    os.remove(f"{checkpoint_dir}/{dropped.checkpoint_id}.npz")
+            dev_bleu = evaluate_checkpoint(model, data, "dev")
+            record.evals.append(EvalRecord(step=step, dev_bleu=dev_bleu, checkpoint_id=ckpt.checkpoint_id))
+            history.append(dev_bleu)
+            if should_stop(history, trainer.patience, trainer.min_delta):
                 break
     return TrainResult(model=model, checkpoints=checkpoints, record=record)

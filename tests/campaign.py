@@ -14,9 +14,10 @@ code change run
     PYTHONPATH=src python3 tests/campaign.py --check
 
 to recompute every cached run's decoding, entropy and gradient-norm fields
-from its cached model, retrain the first 60 steps of each temperature's
-seed-0 run and compare its `record.jsonl` with the cached one, and report
-any value that is not bit-equal.
+from its cached model, retrain `run_T2_s0` whole and the first 60 steps of
+the other temperatures' seed-0 runs, compare the retrained records (and,
+for the whole run, the bytes of `average.npz`) with the cached ones, and
+report any value that is not bit-equal.
 """
 
 # temperlab before numpy: importing it pins the BLAS threads, which only
@@ -64,9 +65,10 @@ CONFIG = ExperimentConfig(
     beam_grid=BeamGridConfig(max_length=25),
 )
 BEAM4 = BeamConfig(beam_size=4, length_penalty_alpha=1.0, max_length=CONFIG.beam_grid.max_length)
-# `--check` retrains this many steps of each temperature's seed-0 run
+# `--check` retrains this run whole, and this many steps of each other
+# temperature's seed-0 run; the Tier-1 guard retrains the steps only
+WHOLE_RETRAIN = (2.0, 0)
 RETRAIN_STEPS = 60
-STEP_FIELDS = ("loss", "tempered_entropy", "raw_entropy", "grad_norm")
 
 
 def cache_dir() -> Path:
@@ -207,38 +209,51 @@ def load_campaign_model(run: CampaignRun):
     return model
 
 
-def _retrain_diffs(run: CampaignRun, data) -> list[str]:
-    """Retrain the first `RETRAIN_STEPS` steps of a cached run on `data`
-    (`build_task_data(CONFIG)`) and compare each step's `STEP_FIELDS` in
-    the retrained `record.jsonl` with the cached one; the fields of the
-    first step that differs, as `step n field cached -> fresh`."""
+def _retrain_diffs(run: CampaignRun, data, steps: int | None = RETRAIN_STEPS) -> list[str]:
+    """Retrain a cached run on `data` (`build_task_data(CONFIG)`): its first
+    `steps` steps or, with None, the whole run. Compare each retrained step
+    record (whole, also each eval record, their counts and the bytes of
+    `average.npz`) with the cache, all fields but `wall_s`; the differences
+    of the first record that differs, as `kind step field cached -> fresh`."""
     cfg = _seeded(run.seed)
-    cfg = dataclasses.replace(cfg, trainer=dataclasses.replace(cfg.trainer, max_steps=RETRAIN_STEPS))
+    if steps is not None:
+        cfg = dataclasses.replace(cfg, trainer=dataclasses.replace(cfg.trainer, max_steps=steps))
+    cached_dir = Path(run.model_path).parent
     with tempfile.TemporaryDirectory() as tmp:
         run_experiment(cfg, data, run.temperature, tmp)
-        fresh = ExperimentRecord.load_jsonl(Path(tmp) / "record.jsonl").steps
-    cached = ExperimentRecord.load_jsonl(Path(run.model_path).parent / "record.jsonl").steps
-    for old, new in zip(cached, fresh):
-        diffs = [
-            f"step {old.step} {f} {getattr(old, f)!r} -> {getattr(new, f)!r}"
-            for f in STEP_FIELDS
-            if getattr(old, f) != getattr(new, f)
-        ]
+        fresh = ExperimentRecord.load_jsonl(Path(tmp) / "record.jsonl")
+        fresh_average = (Path(tmp) / "average.npz").read_bytes() if steps is None else None
+    cached = ExperimentRecord.load_jsonl(cached_dir / "record.jsonl")
+    pairs = [("step", old, new) for old, new in zip(cached.steps, fresh.steps)]
+    if steps is None:
+        pairs += [("eval", old, new) for old, new in zip(cached.evals, fresh.evals)]
+    for kind, old, new in pairs:
+        old, new = dataclasses.asdict(old), dataclasses.asdict(new)
+        changed = [f for f in old if f != "wall_s" and old[f] != new[f]]
+        diffs = [f"{kind} {old['step']} {f} {old[f]!r} -> {new[f]!r}" for f in changed]
         if diffs:
             return diffs
+    if steps is None:
+        counts = [(len(r.steps), len(r.evals)) for r in (cached, fresh)]
+        if counts[0] != counts[1]:
+            return [f"step and eval counts {counts[0]} -> {counts[1]}"]
+        if fresh_average != (cached_dir / "average.npz").read_bytes():
+            return ["average.npz bytes differ"]
     return []
 
 
 def _check_one(path: Path) -> list[str]:
     """The measured fields of one cached run that its cached model no longer
     reproduces bit for bit, as `field cached -> fresh`, and for a seed-0 run
-    the retrained steps that differ from its record."""
+    the retrained records that differ from its own."""
     with open(path, encoding="utf-8") as fh:
         run = CampaignRun(**json.load(fh))
     data = build_task_data(CONFIG)
     fresh = _measure(run.model_path, data, run.temperature, run.grad_norms)
     diffs = [f"{k} {getattr(run, k)!r} -> {v!r}" for k, v in fresh.items() if getattr(run, k) != v]
-    return diffs + (_retrain_diffs(run, data) if run.seed == 0 else [])
+    if run.seed == 0:
+        diffs += _retrain_diffs(run, data, None if (run.temperature, run.seed) == WHOLE_RETRAIN else RETRAIN_STEPS)
+    return diffs
 
 
 def check_campaign() -> int:
@@ -256,7 +271,7 @@ def check_campaign() -> int:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="build (or check) the acceptance campaign cache")
-    parser.add_argument("--check", action="store_true", help="recompute and partly retrain cached runs and compare")
+    parser.add_argument("--check", action="store_true", help="recompute and retrain cached runs and compare")
     if parser.parse_args().check:
         sys.exit(check_campaign())
     run_campaign(verbose=True)

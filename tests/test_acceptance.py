@@ -6,16 +6,13 @@ the first run takes around twenty minutes on one CPU core, later runs
 reuse the cache.
 """
 
-import math
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
 
-import temperlab.tensor as tt
 from temperlab.data import BOS_ID, EOS_ID
-from temperlab.decoding import BeamConfig, beam_decode, greedy_decode, length_penalty
+from temperlab.decoding import BeamConfig, beam_decode, greedy_decode
 from temperlab.metrics import corpus_bleu
 from temperlab.model import ModelConfig, init_parameters, parameter_count
 from temperlab.tempering import (
@@ -28,9 +25,8 @@ from temperlab.tempering import (
     smoothed_label_array,
     tempered_loss,
 )
-from temperlab.tensor import GradientTape, Tensor, backward
+from temperlab.tensor import Tensor
 from temperlab.training import (
-    Checkpoint,
     TrainerConfig,
     average_checkpoints,
     should_stop,
@@ -40,9 +36,17 @@ from temperlab.training import (
 )
 
 from tests import campaign
-from tests.test_decoding import TableModel, enumerate_best, random_table
-from tests.test_metrics import oracle_bleu, random_corpus
-from tests.test_training import micro_data, micro_model
+from tests.conftest import micro_data, micro_model
+from tests.reference import (
+    TableModel,
+    enumerate_best,
+    finite_difference_gradient,
+    oracle_bleu,
+    parameter_gradient_error,
+    random_corpus,
+    random_table,
+    reference_smoothed_ce,
+)
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -80,15 +84,9 @@ def test_criterion_01_gradient_identity():
         identity = tempered_softmax(logits, temperature) - label.vector()
         worst_exact = max(worst_exact, float(np.max(np.abs(grad - identity))))
 
-        h = 1e-5
-        fd = np.empty(v)
-        for i in range(v):
-            bumped = logits.copy()
-            bumped[i] += h
-            fp = tempered_cross_entropy(bumped, label, cfg)
-            bumped[i] -= 2 * h
-            fm = tempered_cross_entropy(bumped, label, cfg)
-            fd[i] = (fp - fm) / (2 * h)
+        fd = finite_difference_gradient(
+            lambda t: tempered_cross_entropy(t.array, label, cfg), Tensor(logits), h=1e-5
+        ).array
         # gradient-vector relative error: single components cross zero (where
         # p_i equals the smoothing mass), making per-component ratios undefined
         rel = float(np.linalg.norm(grad - fd) / np.linalg.norm(fd))
@@ -112,12 +110,7 @@ def test_criterion_02_t1_reduction():
         target = int(rng.integers(v))
         cfg = TemperingConfig(temperature=1.0, rescale_loss=True, label_smoothing=eps)
         ours = tempered_cross_entropy(logits, LabelDistribution(target, v, eps), cfg)
-        # independent log-sum-exp reference for standard smoothed cross entropy
-        lse = float(np.log(np.exp(logits - logits.max()).sum()) + logits.max())
-        label = np.full(v, eps / (v - 1) if v > 1 else 0.0)
-        label[target] = 1.0 - eps
-        reference = -float(np.dot(label, logits - lse))
-        worst = max(worst, abs(ours - reference))
+        worst = max(worst, abs(ours - reference_smoothed_ce(logits, target, eps)))
     report(2, "T=1 reduces to standard smoothed cross-entropy", worst <= 1e-12, f"max abs err {worst:.2e}")
 
 
@@ -156,34 +149,17 @@ def test_criterion_04_end_to_end_autodiff():
     labels = smoothed_label_array(tgt_out, 12, 0.1)
     n_tok = tgt_out.size
 
-    def loss_value():
-        logits = model.forward_teacher_forced(src, tgt_in)
-        return tempered_loss(logits, labels, n_tok, tempering).item()
-
-    with GradientTape() as tape:
-        logits = model.forward_teacher_forced(src, tgt_in)
-        loss = tempered_loss(logits, labels, n_tok, tempering)
-    grads = backward(tape, loss)
+    def loss_of():
+        return tempered_loss(model.forward_teacher_forced(src, tgt_in), labels, n_tok, tempering)
 
     names = list(model.params)
-    worst = 0.0
-    h = 1e-5
-    for k in range(20):
+    picks = []
+    for _ in range(20):
         name = names[int(rng.integers(len(names)))]
-        param = model.params[name]
-        flat = param.array.reshape(-1)
-        idx = int(rng.integers(flat.size))
-        analytic = grads[param].reshape(-1)[idx]
-        orig = flat[idx]
-        flat[idx] = orig + h
-        fp = loss_value()
-        flat[idx] = orig - h
-        fm = loss_value()
-        flat[idx] = orig
-        fd = (fp - fm) / (2 * h)
-        # floor 1e-6: attention key biases have structurally zero gradients
-        # (softmax shift invariance), where only absolute accuracy is defined
-        worst = max(worst, abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-6))
+        picks.append((name, int(rng.integers(model.params[name].size))))
+    # floor 1e-6: attention key biases have structurally zero gradients
+    # (softmax shift invariance), where only absolute accuracy is defined
+    worst = parameter_gradient_error(model, loss_of, picks, h=1e-5, floor=1e-6)
     elapsed = time.perf_counter() - t0
     report(
         4,

@@ -24,6 +24,7 @@ from temperlab.data import (
     transduce,
 )
 from temperlab.errors import ConfigError, ContractError, DataError
+from tests.conftest import refusals
 
 
 # ---------------------------------------------------------------------------
@@ -62,13 +63,6 @@ def test_unknown_token_encodes_to_unk():
     assert vocab.encode(["a", "zzz"]).tolist() == [4, UNK_ID]
 
 
-def test_vocabulary_rejects_empty_corpus_and_bad_side():
-    with pytest.raises(ContractError):
-        build_vocabulary([], "source")
-    with pytest.raises(ContractError):
-        build_vocabulary([(("a",), ("a",))], "both")
-
-
 def test_vocabulary_save_load_roundtrip(tmp_path):
     vocab = build_vocabulary([(("c", "a", "b", "a"), ("x",))], "source", tags=("<2rev>",))
     path = tmp_path / "vocab.txt"
@@ -88,24 +82,8 @@ def test_tags_occupy_first_ids():
     assert vocab.id_of("a") == 6  # tag occurrences in the corpus are not re-counted
 
 
-def test_vocabulary_duplicate_token_rejected():
-    with pytest.raises(DataError):
-        Vocabulary(["a", "a"])
-
-
 # ---------------------------------------------------------------------------
 # task spec + generation
-
-
-def test_spec_validation():
-    with pytest.raises(ConfigError):
-        SyntheticTaskSpec(alphabet_size=1)
-    with pytest.raises(ConfigError):
-        SyntheticTaskSpec(kind="sort")
-    with pytest.raises(ConfigError):
-        SyntheticTaskSpec(length_range=(5, 3))
-    with pytest.raises(ConfigError):
-        SyntheticTaskSpec(noise_rate=1.0)
 
 
 SMALL_SPEC = dict(alphabet_size=16, length_range=(3, 7), corpus_sizes=(60, 15, 15), seed=11)
@@ -186,14 +164,6 @@ def test_heldout_sources_disjoint_from_train():
     train_sources = {src for src, _ in corpus.train}
     for src, _ in corpus.dev + corpus.test:
         assert src not in train_sources
-
-
-def test_infeasible_disjointness_raises():
-    spec = SyntheticTaskSpec(
-        kind="copy", alphabet_size=2, length_range=(1, 2), corpus_sizes=(6, 4, 4), noise_rate=0.0
-    )
-    with pytest.raises(DataError):
-        generate_synthetic_corpus(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +255,6 @@ def test_bucketing_reduces_padding(rng):
     assert padding_fraction(bucketed) <= padding_fraction(naive)
 
 
-def test_batch_size_contract():
-    with pytest.raises(ContractError):
-        make_batches([(np.array([4]), np.array([4]))], 0, seed=0)
-
-
 def test_pad_batch_layout():
     batch = pad_batch([(np.array([4, 5]), np.array([6])), (np.array([7]), np.array([8, 9, 10]))])
     assert batch.source.shape == (2, 2)
@@ -318,3 +283,27 @@ def test_encode_pairs_shapes(rng):
     encoded = encode_pairs(pairs, sv, tv)
     assert encoded[0][0].tolist() == [sv.id_of("a"), sv.id_of("b")]
     assert encoded[0][1].tolist() == [tv.id_of("b")]
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+test_vocabulary_rejects_empty_corpus_and_bad_side = refusals(
+    (lambda: build_vocabulary([], "source"), ContractError, ""),
+    (lambda: build_vocabulary([(("a",), ("a",))], "both"), ContractError, ""),
+)
+test_vocabulary_duplicate_token_rejected = refusals((lambda: Vocabulary(["a", "a"]), DataError, ""))
+test_spec_validation = refusals(
+    (lambda: SyntheticTaskSpec(alphabet_size=1), ConfigError, ""),
+    (lambda: SyntheticTaskSpec(kind="sort"), ConfigError, ""),
+    (lambda: SyntheticTaskSpec(length_range=(5, 3)), ConfigError, ""),
+    (lambda: SyntheticTaskSpec(noise_rate=1.0), ConfigError, ""),
+)
+# two symbols make only 6 sources of length 1 or 2: none is left for dev and test
+INFEASIBLE = SyntheticTaskSpec(
+    kind="copy", alphabet_size=2, length_range=(1, 2), corpus_sizes=(6, 4, 4), noise_rate=0.0
+)
+test_infeasible_disjointness_raises = refusals((lambda: generate_synthetic_corpus(INFEASIBLE), DataError, ""))
+test_batch_size_contract = refusals(
+    (lambda: make_batches([(np.array([4]), np.array([4]))], 0, seed=0), ContractError, ""),
+)

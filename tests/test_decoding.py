@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from temperlab.data import BOS_ID, EOS_ID
 from temperlab.decoding import (
     BeamConfig,
-    Hypothesis,
     beam_decode,
     beam_decode_batch,
     decode_corpus,
@@ -15,106 +14,26 @@ from temperlab.decoding import (
     length_penalty,
 )
 from temperlab.errors import ConfigError, ContractError
-
-
-class TableModel:
-    """Markov toy decoder: next-token logits depend only on the last token.
-
-    `table` is [vocab, vocab]; row i holds the logits emitted after token i.
-    The source is ignored, which makes exhaustive enumeration trivial, and
-    the decoder state is too: the newest token is all a step needs.
-    """
-
-    def __init__(self, table):
-        self.table = np.asarray(table, dtype=np.float64)
-
-    def encode(self, source):
-        return None
-
-    def encode_batch(self, sources):
-        return None
-
-    def decode_start(self, encoded):
-        return None
-
-    def decode_next(self, state, tokens):
-        return self.table[np.asarray(tokens, dtype=np.int64)]
-
-    def decode_reorder(self, state, parents):
-        pass
-
-
-class SourceTableModel(TableModel):
-    """One Markov table per source: a source's first token is the index of
-    its table. The state is each row's table index, and every token fed to
-    a source's rows is recorded in `fed`."""
-
-    def __init__(self, tables):
-        self.tables = [np.asarray(t, dtype=np.float64) for t in tables]
-        self.fed = {}
-
-    def encode_batch(self, sources):
-        return [int(s[0]) for s in sources]
-
-    def decode_start(self, encoded):
-        return list(encoded)
-
-    def decode_next(self, state, tokens):
-        tokens = np.asarray(tokens).tolist()
-        for src, tok in zip(state, tokens):
-            self.fed.setdefault(src, []).append(tok)
-        return np.stack([self.tables[src][tok] for src, tok in zip(state, tokens)])
-
-    def decode_reorder(self, state, parents):
-        state[:] = [state[p] for p in parents]
-
-
-def log_softmax(row):
-    z = row - row.max()
-    return z - np.log(np.exp(z).sum())
-
-
-def enumerate_best(table, alpha, max_length):
-    """Brute-force oracle: scores of every finished sequence up to max_length."""
-    table = np.asarray(table, dtype=np.float64)
-    results = []
-
-    def walk(prefix, log_prob):
-        depth = len(prefix) - 1
-        if depth >= max_length:
-            return
-        logp = log_softmax(table[prefix[-1]])
-        for tok in range(table.shape[0]):
-            lp = log_prob + logp[tok]
-            seq = prefix + (tok,)
-            if tok == EOS_ID:
-                results.append((lp / length_penalty(len(seq) - 1, alpha), lp, seq))
-            else:
-                walk(seq, lp)
-
-    walk((BOS_ID,), 0.0)
-    return sorted(results, key=lambda r: -r[0])
-
-
-def random_table(seed, vocab=6):
-    r = np.random.default_rng(seed)
-    table = r.uniform(-2.0, 2.0, size=(vocab, vocab))
-    table[:, 0] = -1e9  # never emit PAD
-    table[:, 1] = -1e9  # never emit BOS
-    return table
+from tests.conftest import refusals
+from tests.reference import (
+    SourceTableModel,
+    TableModel,
+    enumerate_best,
+    log_softmax,
+    random_table,
+    reference_beam,
+)
 
 
 # ---------------------------------------------------------------------------
 # config + penalty
 
 
-def test_beam_config_validation():
-    with pytest.raises(ConfigError):
-        BeamConfig(beam_size=0)
-    with pytest.raises(ConfigError):
-        BeamConfig(length_penalty_alpha=-0.1)
-    with pytest.raises(ConfigError):
-        BeamConfig(max_length=0)
+test_beam_config_validation = refusals(
+    (lambda: BeamConfig(beam_size=0), ConfigError, ""),
+    (lambda: BeamConfig(length_penalty_alpha=-0.1), ConfigError, ""),
+    (lambda: BeamConfig(max_length=0), ConfigError, ""),
+)
 
 
 def test_length_penalty_values():
@@ -262,27 +181,6 @@ def test_hypotheses_hold_plain_python_values():
         assert type(h.tokens) is tuple and {type(t) for t in h.tokens} == {int}
         assert (type(h.log_prob), type(h.score), type(h.finished)) == (float, float, bool)
     assert not hyps[-2].finished
-
-
-def reference_beam(table, cfg):
-    """The ranking rules of `temperlab.decoding`, one candidate at a time and
-    with no early stop (its bound only skips steps that cannot change the
-    result)."""
-    live, done = [((BOS_ID,), 0.0)], []
-    for length in range(1, cfg.max_length + 1):
-        cands = []
-        for tokens, lp in live:
-            logp = log_softmax(table[tokens[-1]])
-            best = sorted(range(len(logp)), key=lambda t: (-logp[t], t))[: cfg.beam_size]
-            cands += [(tokens + (t,), lp + float(logp[t])) for t in best]
-        penalty = length_penalty(length, cfg.length_penalty_alpha)
-        ranked = sorted(cands, key=lambda c: -c[1] / penalty)  # stable: ties stay row-major
-        done += [Hypothesis(t, lp, lp / penalty, True) for t, lp in ranked if t[-1] == EOS_ID]
-        done = sorted(done, key=lambda h: -h.score)[: cfg.beam_size]
-        live = [c for c in ranked if c[0][-1] != EOS_ID][: cfg.beam_size]
-        if not live:
-            break
-    return done or [Hypothesis(live[0][0], live[0][1], live[0][1] / penalty, False)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,10 +8,11 @@ import shutil
 import numpy as np
 import pytest
 
+from temperlab import cli
 from temperlab.cli import main
 from temperlab.data import build_vocabulary, generate_synthetic_corpus
 from temperlab import experiments
-from temperlab.errors import ConfigError, DataError
+from temperlab.errors import ConfigError, DataError, NumericError
 from temperlab.experiments import (
     ExperimentConfig,
     apply_overrides,
@@ -27,7 +28,7 @@ from temperlab.experiments import (
 )
 from temperlab.model import init_parameters, load_checkpoint, save_checkpoint
 from temperlab.training import ExperimentRecord
-from tests.test_model import edit_stored_config, shrink_parameter
+from tests.conftest import edit_stored_config, refusals, shrink_parameter
 
 MICRO = {
     "task": {
@@ -93,11 +94,13 @@ def test_default_config_carries_paper_scale_grids():
     assert cfg.trainer.checkpoint_keep == 10
 
 
-def test_unknown_keys_rejected():
-    with pytest.raises(ConfigError):
-        config_from_dict({"tempreature": 2.0})
-    with pytest.raises(ConfigError):
-        config_from_dict({"trainer": {"lr": 0.1}})
+test_unknown_keys_rejected = refusals(
+    (lambda: config_from_dict({"tempreature": 2.0}), ConfigError, ""),
+    (lambda: config_from_dict({"trainer": {"lr": 0.1}}), ConfigError, ""),
+)
+test_load_config_refuses_a_trainer_seed = refusals(
+    (lambda: load_config(overrides=["trainer.seed=5"]), ConfigError, "seeds.train"),
+)
 
 
 def test_overrides_apply_and_validate():
@@ -481,13 +484,6 @@ def test_cli_train_and_report(tmp_path, capsys):
     assert "dev greedy BLEU" in capsys.readouterr().out
 
 
-def test_cli_exit_code_for_config_error(tmp_path, capsys):
-    cfg_path = write_micro_config(tmp_path)
-    code = main(["train", "--config", str(cfg_path), "--set", "tempering.temperature=-1"])
-    assert code == 2
-    assert "configuration error" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "text",
     [
@@ -516,29 +512,6 @@ def test_cli_malformed_config_file_is_config_error(tmp_path, monkeypatch, capsys
     assert started == []
 
 
-def test_trainer_seed_is_a_config_error(tmp_path, capsys):
-    with pytest.raises(ConfigError, match="seeds.train"):
-        load_config(overrides=["trainer.seed=5"])
-    cfg_path = write_micro_config(tmp_path)
-    code = main(["train", "--config", str(cfg_path), "--set", "trainer.seed=5", "--out", str(tmp_path / "x")])
-    assert code == 2
-    assert "seeds.train" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
-
-
-def test_cli_exit_code_for_numeric_abort(tmp_path, capsys, monkeypatch):
-    from temperlab.errors import NumericError
-    import temperlab.cli as cli
-
-    monkeypatch.setattr(
-        cli, "run_experiment", lambda *a, **k: (_ for _ in ()).throw(NumericError("boom at step 3"))
-    )
-    cfg_path = write_micro_config(tmp_path)
-    code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
-    assert code == 4
-    assert "numeric abort" in capsys.readouterr().err
-
-
 def test_cli_no_dropout_flag(tmp_path):
     cfg_path = write_micro_config(tmp_path)
     out = tmp_path / "run-nd"
@@ -557,107 +530,41 @@ def test_cli_no_dropout_flag(tmp_path):
 
 
 def test_cli_decode_roundtrip(tmp_path, capsys):
-    cfg_path = write_micro_config(tmp_path)
     out = tmp_path / "run"
-    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
-
-    src_file = tmp_path / "input.txt"
-    from temperlab.data import SyntheticTaskSpec, generate_synthetic_corpus
-
-    corpus = generate_synthetic_corpus(SyntheticTaskSpec(**config_from_dict(MICRO).task.__dict__))
-    src_file.write_text("\n".join(" ".join(s) for s, _ in corpus.test[:5]) + "\n")
-    hyp_file = tmp_path / "hyp.txt"
-    code = main(
-        [
-            "decode",
-            "--checkpoint", str(out / "average.npz"),
-            "--src-vocab", str(out / "src_vocab.txt"),
-            "--tgt-vocab", str(out / "tgt_vocab.txt"),
-            "--input", str(src_file),
-            "--output", str(hyp_file),
-            "--beam-size", "2",
-            "--alpha", "1.0",
-            "--max-length", "8",
-        ]
-    )
+    assert main(["train", "--config", str(write_micro_config(tmp_path)), "--out", str(out)]) == 0
+    text = "\n".join(" ".join(s) for s, _ in generate_synthetic_corpus(micro_config().task).test[:5]) + "\n"
+    code = main(decode_args(tmp_path, text, run=out) + ["--beam-size", "2", "--alpha", "1.0", "--max-length", "8"])
     assert code == 0
-    lines = hyp_file.read_text().splitlines()
+    lines = (tmp_path / "hyp.txt").read_text().splitlines()
     assert len(lines) == 5
     sidecar = [json.loads(l) for l in (tmp_path / "hyp.txt.meta.jsonl").read_text().splitlines()]
     assert len(sidecar) == 5
     assert all({"score", "log_prob", "length", "wall_ns"} <= set(row) for row in sidecar)
 
 
-def decode_args(tmp_path, text: str) -> list[str]:
-    """`decode` arguments for an untrained MICRO model, its vocabularies and
-    an input file holding `text`."""
-    cfg = micro_config()
-    corpus = generate_synthetic_corpus(cfg.task)
-    src_vocab = build_vocabulary(corpus.train, "source")
-    tgt_vocab = build_vocabulary(corpus.train, "target")
-    model = init_parameters(cfg.model.with_vocabs(len(src_vocab), len(tgt_vocab)), seed=0)
-    save_checkpoint(tmp_path / "model.npz", model, step=0)
-    src_vocab.save(tmp_path / "src_vocab.txt")
-    tgt_vocab.save(tmp_path / "tgt_vocab.txt")
+def decode_args(tmp_path, text: str, run=None) -> list[str]:
+    """`decode` arguments for the model and vocabularies of a trained `run`
+    directory or, with none, of an untrained MICRO model saved as
+    `model.npz`, and an input file holding `text`."""
+    checkpoint = run / "average.npz" if run else tmp_path / "model.npz"
+    if run is None:
+        run, cfg = tmp_path, micro_config()
+        corpus = generate_synthetic_corpus(cfg.task)
+        src_vocab = build_vocabulary(corpus.train, "source")
+        tgt_vocab = build_vocabulary(corpus.train, "target")
+        model = init_parameters(cfg.model.with_vocabs(len(src_vocab), len(tgt_vocab)), seed=0)
+        save_checkpoint(checkpoint, model, step=0)
+        src_vocab.save(tmp_path / "src_vocab.txt")
+        tgt_vocab.save(tmp_path / "tgt_vocab.txt")
     (tmp_path / "input.txt").write_text(text)
     return [
         "decode",
-        "--checkpoint", str(tmp_path / "model.npz"),
-        "--src-vocab", str(tmp_path / "src_vocab.txt"),
-        "--tgt-vocab", str(tmp_path / "tgt_vocab.txt"),
+        "--checkpoint", str(checkpoint),
+        "--src-vocab", str(run / "src_vocab.txt"),
+        "--tgt-vocab", str(run / "tgt_vocab.txt"),
         "--input", str(tmp_path / "input.txt"),
         "--output", str(tmp_path / "hyp.txt"),
     ]
-
-
-def test_cli_decode_empty_input_is_data_error(tmp_path, capsys):
-    code = main(decode_args(tmp_path, ""))
-    assert code == 3
-    assert "data error" in capsys.readouterr().err
-
-
-def test_cli_decode_wrong_shape_checkpoint_is_data_error(tmp_path, capsys):
-    args = decode_args(tmp_path, "a b\n")
-    shrink_parameter(tmp_path / "model.npz", "dec0.cross.bq")
-    assert main(args) == 3
-    assert "dec0.cross.bq" in capsys.readouterr().err
-
-
-def test_cli_decode_malformed_checkpoint_config_is_data_error(tmp_path, capsys):
-    args = decode_args(tmp_path, "a b\n")
-    edit_stored_config(tmp_path / "model.npz", extra=1)
-    assert main(args) == 3
-    assert "malformed configuration" in capsys.readouterr().err
-
-
-def test_cli_decode_text_file_checkpoint_is_data_error(tmp_path, capsys):
-    args = decode_args(tmp_path, "a b\n")
-    (tmp_path / "model.npz").write_text("not a checkpoint\n", encoding="utf-8")
-    assert main(args) == 3
-    assert "not an .npz archive" in capsys.readouterr().err
-
-
-def test_cli_unreadable_files_exit_codes(tmp_path, capsys):
-    args = decode_args(tmp_path, "a b\n")
-    args[args.index("--src-vocab") + 1] = str(tmp_path / "missing_vocab.txt")
-    assert main(args) == 3
-    assert "missing_vocab.txt" in capsys.readouterr().err
-    assert main(["train", "--config", str(tmp_path / "missing.json")]) == 2
-    assert "cannot read config file" in capsys.readouterr().err
-
-
-def test_cli_decode_checks_lengths_before_decoding(tmp_path, capsys, monkeypatch):
-    import temperlab.cli as cli
-
-    monkeypatch.setattr(cli, "decode_corpus", lambda *a, **k: pytest.fail("decoded before checks"))
-    # MICRO's max_positions is 10: sources up to 10 tokens, --max-length up to 9
-    too_long = " ".join(["a"] * 11)
-    assert main(decode_args(tmp_path, f"a b\n{too_long}\n") + ["--max-length", "8"]) == 3
-    assert "input line 2 has 11 tokens" in capsys.readouterr().err
-    assert main(decode_args(tmp_path, "a b\n\nc\n") + ["--max-length", "8"]) == 3
-    assert "input line 2 has 0 tokens" in capsys.readouterr().err
-    assert main(decode_args(tmp_path, "a b\n") + ["--max-length", "10"]) == 2
-    assert "--max-length 10" in capsys.readouterr().err
 
 
 def test_cli_sweep_analyze_report_pipeline(tmp_path, capsys):
@@ -676,3 +583,95 @@ def test_cli_sweep_analyze_report_pipeline(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "sweep.csv" in text
     assert (sweep_out / "report.txt").exists()
+
+
+# ---------------------------------------------------------------------------
+# CLI refusals: exit code, stderr, and nothing created or decoded
+
+
+def cli_errors(*rows):
+    """A test that each row's command exits with its code and names its
+    fragment on stderr, creating neither `--out` nor decode's output and
+    decoding nothing. A row is (arguments, from `tmp_path` and
+    `monkeypatch`; exit code; stderr fragment). Bound to a `test_` name in
+    this module, it is collected under that name."""
+
+    def test(tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "decode_corpus", lambda *a, **k: pytest.fail("decoded before checks"))
+        for args_of, code, fragment in rows:
+            args = args_of(tmp_path, monkeypatch)
+            assert main(args) == code, args
+            assert fragment in capsys.readouterr().err, fragment
+            assert not (tmp_path / "out").exists() and not (tmp_path / "hyp.txt").exists(), args
+
+    return test
+
+
+def train_args(tmp_path, *extra):
+    return ["train", "--config", str(write_micro_config(tmp_path)), *extra, "--out", str(tmp_path / "out")]
+
+
+def numeric_abort(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        cli, "run_experiment", lambda *a, **k: (_ for _ in ()).throw(NumericError("boom at step 3"))
+    )
+    return train_args(tmp_path)
+
+
+def edited_checkpoint(edit):
+    """Arguments that decode with the untrained MICRO model's checkpoint
+    after `edit(path)`."""
+
+    def args_of(tmp_path, _monkeypatch):
+        args = decode_args(tmp_path, "a b\n")
+        edit(tmp_path / "model.npz")
+        return args
+
+    return args_of
+
+
+def nan_in_out_b(path):
+    with np.load(path) as zf:
+        payload = dict(zf)
+    payload["out_b"][3] = np.nan
+    np.savez(path, **payload)
+
+
+def missing_file(tmp_path, _monkeypatch):
+    args = decode_args(tmp_path, "a b\n")
+    args[args.index("--src-vocab") + 1] = str(tmp_path / "missing_vocab.txt")
+    return args
+
+
+TOO_LONG = " ".join(["a"] * 11)  # MICRO's max_positions is 10: sources up to 10 tokens, --max-length up to 9
+
+test_cli_exit_code_for_config_error = cli_errors(
+    (lambda tmp, _: train_args(tmp, "--set", "tempering.temperature=-1"), 2, "configuration error"),
+)
+test_trainer_seed_is_a_config_error = cli_errors(
+    (lambda tmp, _: train_args(tmp, "--set", "trainer.seed=5"), 2, "seeds.train"),
+)
+test_cli_exit_code_for_numeric_abort = cli_errors((numeric_abort, 4, "numeric abort"))
+test_cli_decode_empty_input_is_data_error = cli_errors((lambda tmp, _: decode_args(tmp, ""), 3, "data error"))
+test_cli_decode_wrong_shape_checkpoint_is_data_error = cli_errors(
+    (edited_checkpoint(lambda path: shrink_parameter(path, "dec0.cross.bq")), 3, "dec0.cross.bq"),
+)
+test_cli_decode_malformed_checkpoint_config_is_data_error = cli_errors(
+    (edited_checkpoint(lambda path: edit_stored_config(path, extra=1)), 3, "malformed configuration"),
+)
+test_cli_decode_text_file_checkpoint_is_data_error = cli_errors(
+    (edited_checkpoint(lambda path: path.write_text("not a checkpoint\n", encoding="utf-8")), 3, "not an .npz archive"),
+)
+test_cli_decode_non_finite_checkpoint_is_data_error = cli_errors(
+    (edited_checkpoint(nan_in_out_b), 3, "model.npz parameter out_b holds non-finite values"),
+)
+test_cli_unreadable_files_exit_codes = cli_errors(
+    (missing_file, 3, "missing_vocab.txt"),
+    (lambda tmp, _: ["train", "--config", str(tmp / "missing.json"), "--out", str(tmp / "out")], 2,
+     "cannot read config file"),
+)
+test_cli_decode_checks_lengths_before_decoding = cli_errors(
+    (lambda tmp, _: decode_args(tmp, f"a b\n{TOO_LONG}\n") + ["--max-length", "8"], 3, "input line 2 has 11 tokens"),
+    (lambda tmp, _: decode_args(tmp, "a b\n\nc\n") + ["--max-length", "8"], 3, "input line 2 has 0 tokens"),
+    (lambda tmp, _: decode_args(tmp, "a b\n") + ["--max-length", "10"], 2, "--max-length 10"),
+)

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,44 +12,8 @@ from temperlab.metrics import (
     paired_bootstrap,
     sentence_stats,
 )
-
-
-def oracle_bleu(hypotheses, references):
-    """Brute-force oracle: pool clipped n-gram counts over the corpus, then
-    geometric mean of precisions times the brevity penalty. Orders with no
-    hypothesis n-grams are dropped."""
-    matched = {n: 0 for n in range(1, 5)}
-    totals = {n: 0 for n in range(1, 5)}
-    hyp_len = ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, 5):
-            h_counts = Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
-            r_counts = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
-            for gram, c in h_counts.items():
-                matched[n] += min(c, r_counts[gram])
-            totals[n] += max(len(hyp) - n + 1, 0)
-    if hyp_len == 0:
-        return 0.0
-    logs = []
-    for n in range(1, 5):
-        if totals[n] == 0:
-            continue
-        if matched[n] == 0:
-            return 0.0
-        logs.append(math.log(matched[n] / totals[n]))
-    precision = math.exp(math.fsum(logs) / len(logs))
-    brevity = math.exp(min(0.0, 1.0 - ref_len / hyp_len))
-    return 100.0 * brevity * precision
-
-
-def random_corpus(rng, n_sentences, vocab=6, max_len=9):
-    out = []
-    for _ in range(n_sentences):
-        length = int(rng.integers(1, max_len))
-        out.append(tuple(f"t{v}" for v in rng.integers(0, vocab, size=length)))
-    return out
+from tests.conftest import refusals
+from tests.reference import oracle_bleu, random_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +73,6 @@ def test_clipping_never_exceeds_reference_counts(seed):
     for n in range(1, 5):
         ref_total = max(len(ref) - n + 1, 0)
         assert 0 <= stats[n - 1] <= min(stats[4 + n - 1], ref_total) or stats[n - 1] <= ref_total
-
-
-def test_contract_errors():
-    with pytest.raises(ContractError):
-        corpus_bleu([], [])
-    with pytest.raises(ContractError):
-        corpus_bleu([("a",)], [("a",), ("b",)])
 
 
 def test_score_range(rng):
@@ -193,7 +149,13 @@ def test_bootstrap_p_value_in_unit_interval(rng):
     assert 0.0 <= res.tie_fraction <= 1.0
 
 
-def test_bootstrap_minimum_resamples():
-    refs = [("a",)]
-    with pytest.raises(ContractError):
-        paired_bootstrap(refs, refs, refs, resamples=50, seed=0)
+# ---------------------------------------------------------------------------
+# refusals
+
+test_contract_errors = refusals(
+    (lambda: corpus_bleu([], []), ContractError, ""),
+    (lambda: corpus_bleu([("a",)], [("a",), ("b",)]), ContractError, ""),
+)
+test_bootstrap_minimum_resamples = refusals(
+    (lambda: paired_bootstrap([("a",)], [("a",)], [("a",)], resamples=50, seed=0), ContractError, ""),
+)

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 import weakref
 
@@ -19,6 +18,8 @@ from temperlab.model import (
 )
 from temperlab.tempering import TemperingConfig, smoothed_label_array, tempered_loss
 from temperlab.tensor import GradientTape, backward
+from tests.conftest import edit_stored_config, refusals, shrink_parameter
+from tests.reference import parameter_gradient_error
 
 SMALL = dict(source_vocab=11, target_vocab=13, num_layers=2, model_dim=16, num_heads=2, ff_dim=24, max_positions=12)
 
@@ -39,30 +40,9 @@ def random_batch(rng, cfg, batch=3, src_len=5, tgt_len=6):
 # config
 
 
-def test_config_rejects_indivisible_heads():
-    with pytest.raises(ConfigError) as exc:
-        ModelConfig(source_vocab=8, target_vocab=8, model_dim=10, num_heads=3)
-    assert "divisible" in str(exc.value)
-
-
-def test_config_rejects_dropout_of_one():
-    with pytest.raises(ConfigError):
-        ModelConfig(source_vocab=8, target_vocab=8, attention_dropout=1.0)
-
-
-def test_config_rejects_nonpositive_dims():
-    with pytest.raises(ConfigError):
-        ModelConfig(source_vocab=8, target_vocab=8, num_layers=0)
-
-
 def test_without_dropout_zeroes_all_three_sites():
     cfg = ModelConfig(source_vocab=8, target_vocab=8).without_dropout()
     assert cfg.attention_dropout == cfg.embedding_dropout == cfg.layer_dropout == 0.0
-
-
-def test_unresolved_vocab_rejected_at_init():
-    with pytest.raises(ConfigError):
-        init_parameters(ModelConfig(), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -143,29 +123,6 @@ def test_eval_forward_is_deterministic(rng):
     a = model.forward_teacher_forced(src, tgt).array
     b = model.forward_teacher_forced(src, tgt).array
     assert np.array_equal(a, b)
-
-
-def test_train_forward_needs_rng(rng):
-    model = small_model(seed=3)
-    src, tgt = random_batch(rng, model.config)
-    with pytest.raises(ConfigError):
-        model.forward_teacher_forced(src, tgt, train=True, rng=None)
-
-
-def test_out_of_range_token_reports_position(rng):
-    model = small_model(seed=3)
-    src, tgt = random_batch(rng, model.config)
-    src[1, 2] = model.config.source_vocab + 5
-    with pytest.raises(DataError) as exc:
-        model.forward_teacher_forced(src, tgt)
-    assert "(1, 2)" in str(exc.value)
-
-
-def test_sequence_longer_than_max_positions_rejected(rng):
-    model = small_model(seed=3)
-    src = rng.integers(4, model.config.source_vocab, size=(1, model.config.max_positions + 1))
-    with pytest.raises(DataError):
-        model.encode_batch(src)
 
 
 def test_dropout_changes_training_forward_but_not_eval(rng):
@@ -268,30 +225,12 @@ def test_end_to_end_gradient_matches_finite_differences(rng):
     labels = smoothed_label_array(tgt_out, 9, 0.1, PAD_ID)
     n_tok = int((tgt_out != PAD_ID).sum())
 
-    def loss_value():
-        logits = model.forward_teacher_forced(src, tgt_in)
-        return tempered_loss(logits, labels, n_tok, tempering).item()
-
-    with GradientTape() as tape:
-        logits = model.forward_teacher_forced(src, tgt_in)
-        loss = tempered_loss(logits, labels, n_tok, tempering)
-    grads = backward(tape, loss)
-
-    h = 1e-5
     picks = [("src_embed", 5), ("enc0.attn.wq", 7), ("dec1.cross.wv", 3), ("dec0.ff.w1", 11), ("out_w", 2)]
-    for name, flat_idx in picks:
-        param = model.params[name]
-        analytic = grads[param].reshape(-1)[flat_idx]
-        flat = param.array.reshape(-1)
-        orig = flat[flat_idx]
-        flat[flat_idx] = orig + h
-        fp = loss_value()
-        flat[flat_idx] = orig - h
-        fm = loss_value()
-        flat[flat_idx] = orig
-        fd = (fp - fm) / (2 * h)
-        rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-8)
-        assert rel < 1e-3, f"{name}[{flat_idx}]: analytic {analytic} vs fd {fd}"
+
+    def loss_of():
+        return tempered_loss(model.forward_teacher_forced(src, tgt_in), labels, n_tok, tempering)
+
+    assert parameter_gradient_error(model, loss_of, picks, h=1e-5, floor=1e-8) < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +281,6 @@ def test_decode_step_deterministic(rng):
     assert np.array_equal(a, b)
 
 
-def test_decoding_past_max_positions_is_data_error():
-    # EOS is never the argmax, so both decoders run past the position table
-    model = small_model(seed=6)
-    model.params["out_b"].array[EOS_ID] = -1e9
-    max_length = model.config.max_positions + 2
-    with pytest.raises(DataError, match="max_positions"):
-        greedy_decode(model, [4, 5, 6], max_length)
-    with pytest.raises(DataError, match="max_positions"):
-        beam_decode(model, [4, 5, 6], BeamConfig(2, 1.0, max_length))
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -389,14 +317,6 @@ def test_checkpoint_load_holds_one_vector_at_a_time(tmp_path):
     assert peak < 1.5 * model.flat.nbytes
 
 
-def test_model_refuses_a_non_finite_parameter_vector():
-    model = small_model()
-    flat = model.flat.copy()
-    flat[7] = np.nan
-    with pytest.raises(NumericError):
-        TransformerModel(model.config, flat)
-
-
 def test_checkpoint_rs_mode_roundtrip(tmp_path):
     model = small_model(seed=8, recurrent_stacking=True, num_layers=3)
     path = tmp_path / "rs.npz"
@@ -404,23 +324,6 @@ def test_checkpoint_rs_mode_roundtrip(tmp_path):
     loaded, _ = load_checkpoint(path)
     assert loaded.config.recurrent_stacking
     assert parameter_count(loaded) == parameter_count(model)
-
-
-def shrink_parameter(path, name):
-    """Rewrite a checkpoint with the first axis of one parameter one shorter."""
-    with np.load(path) as zf:
-        payload = dict(zf)
-    payload[name] = payload[name][:-1]
-    np.savez(path, **payload)
-
-
-def edit_stored_config(path, **changes):
-    """Rewrite a checkpoint with keys of its `__config__` JSON changed or added."""
-    with np.load(path) as zf:
-        payload = dict(zf)
-    config = json.loads(str(payload["__config__"]))
-    payload["__config__"] = np.array(json.dumps({**config, **changes}))
-    np.savez(path, **payload)
 
 
 @pytest.mark.parametrize("changes", [{"extra": 1}, {"num_heads": 3}, None])
@@ -445,3 +348,60 @@ def test_checkpoint_with_wrong_shape_is_data_error(tmp_path):
     shrink_parameter(path, "dec0.cross.bq")
     with pytest.raises(DataError, match="dec0.cross.bq"):
         load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+
+def forward_of_a_random_batch(out_of_range=False, **kwargs):
+    """small_model(seed=3)'s teacher-forced forward of a random batch, with
+    source token (1, 2) out of the vocabulary if asked."""
+    model = small_model(seed=3)
+    src, tgt = random_batch(np.random.default_rng(12345), model.config)
+    if out_of_range:
+        src[1, 2] = model.config.source_vocab + 5
+    return model.forward_teacher_forced(src, tgt, **kwargs)
+
+
+def decode_past_max_positions(beam):
+    # EOS is never the argmax, so both decoders run past the position table
+    model = small_model(seed=6)
+    model.params["out_b"].array[EOS_ID] = -1e9
+    max_length = model.config.max_positions + 2
+    if beam:
+        return beam_decode(model, [4, 5, 6], BeamConfig(2, 1.0, max_length))
+    return greedy_decode(model, [4, 5, 6], max_length)
+
+
+def with_nan_at_7(model):
+    flat = model.flat.copy()
+    flat[7] = np.nan
+    return flat
+
+
+test_config_rejects_indivisible_heads = refusals(
+    (lambda: ModelConfig(source_vocab=8, target_vocab=8, model_dim=10, num_heads=3), ConfigError, "divisible"),
+)
+test_config_rejects_dropout_of_one = refusals(
+    (lambda: ModelConfig(source_vocab=8, target_vocab=8, attention_dropout=1.0), ConfigError, ""),
+)
+test_config_rejects_nonpositive_dims = refusals(
+    (lambda: ModelConfig(source_vocab=8, target_vocab=8, num_layers=0), ConfigError, ""),
+)
+test_unresolved_vocab_rejected_at_init = refusals((lambda: init_parameters(ModelConfig(), seed=0), ConfigError, ""))
+test_train_forward_needs_rng = refusals((lambda: forward_of_a_random_batch(train=True, rng=None), ConfigError, ""))
+test_out_of_range_token_reports_position = refusals(
+    (lambda: forward_of_a_random_batch(out_of_range=True), DataError, "(1, 2)"),
+)
+test_sequence_longer_than_max_positions_rejected = refusals(
+    (lambda: small_model(seed=3).encode_batch(np.random.default_rng(12345).integers(4, 11, size=(1, 13))),
+     DataError, ""),
+)
+test_decoding_past_max_positions_is_data_error = refusals(
+    (lambda: decode_past_max_positions(beam=False), DataError, "max_positions"),
+    (lambda: decode_past_max_positions(beam=True), DataError, "max_positions"),
+)
+test_model_refuses_a_non_finite_parameter_vector = refusals(
+    (lambda: TransformerModel(small_model().config, with_nan_at_7(small_model())), NumericError, ""),
+)

@@ -17,39 +17,16 @@ from temperlab.tempering import (
     tempered_softmax,
 )
 from temperlab.tensor import GradientTape, Tensor, backward
-from tests.gradcheck import finite_difference_gradient
+from tests.conftest import refusals
+from tests.reference import finite_difference_gradient, reference_smoothed_ce, reference_tempered_ce
 
 finite_logits = st.lists(
     st.floats(min_value=-8, max_value=8), min_size=2, max_size=12
 ).map(np.array)
 
 
-def reference_smoothed_ce(logits, target, eps):
-    """Independent oracle: label-smoothed cross entropy at T=1, log-sum-exp form."""
-    v = len(logits)
-    lse = np.log(np.exp(logits - logits.max()).sum()) + logits.max()
-    logp = logits - lse
-    label = np.full(v, eps / (v - 1))
-    label[target] = 1.0 - eps
-    return -float(np.dot(label, logp))
-
-
-def reference_tempered_ce(logits, target, eps, temperature):
-    """The oracle above on logits / T, multiplied by T (loss rescaling on)."""
-    return temperature * reference_smoothed_ce(np.asarray(logits) / temperature, target, eps)
-
-
 # ---------------------------------------------------------------------------
 # configs and labels
-
-
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        TemperingConfig(temperature=0.0)
-    with pytest.raises(ConfigError):
-        TemperingConfig(temperature=-2.0)
-    with pytest.raises(ConfigError):
-        TemperingConfig(label_smoothing=1.0)
 
 
 def test_label_distribution_sums_to_one():
@@ -66,18 +43,8 @@ def test_label_distribution_zero_smoothing_is_one_hot():
     assert np.array_equal(vec, [0.0, 1.0, 0.0, 0.0])
 
 
-def test_label_distribution_target_range():
-    with pytest.raises(ContractError):
-        LabelDistribution(target_id=5, vocab_size=5)
-
-
 # ---------------------------------------------------------------------------
 # tempered softmax
-
-
-def test_tempered_softmax_rejects_bad_temperature():
-    with pytest.raises(ConfigError):
-        tempered_softmax(np.array([1.0, 2.0]), 0.0)
 
 
 def test_tempered_softmax_closed_form():
@@ -161,12 +128,6 @@ def test_rescaling_multiplies_loss_by_temperature(rng):
     assert on == 2.0 * off
 
 
-def test_length_mismatch_rejected():
-    cfg = TemperingConfig()
-    with pytest.raises(ContractError):
-        tempered_cross_entropy(np.zeros(5), LabelDistribution(0, 6, 0.0), cfg)
-
-
 @settings(max_examples=60, deadline=None)
 @given(finite_logits, st.sampled_from([0.0, 0.1]), st.booleans())
 def test_t1_matches_standard_smoothed_cross_entropy(logits, eps, rescale):
@@ -245,11 +206,6 @@ def test_entropy_bounds(rng):
         assert 0.0 <= h <= np.log(10.0) + 1e-12
 
 
-def test_entropy_rejects_non_distribution():
-    with pytest.raises(ContractError):
-        shannon_entropy(np.array([0.5, 0.6]))
-
-
 # ---------------------------------------------------------------------------
 # batched helpers
 
@@ -315,3 +271,23 @@ def test_entropy_views_agree_with_scalar_entropy(rng):
     # one shift, exp and row sum per view: the floats of the softmax pair
     for h, z in ((t_h, rows / 2.0), (r_h, rows)):
         assert h == float((-(tt.softmax(z) * tt.log_softmax(z)).sum(axis=-1)).mean())
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+test_config_validation = refusals(
+    (lambda: TemperingConfig(temperature=0.0), ConfigError, ""),
+    (lambda: TemperingConfig(temperature=-2.0), ConfigError, ""),
+    (lambda: TemperingConfig(label_smoothing=1.0), ConfigError, ""),
+)
+test_label_distribution_target_range = refusals(
+    (lambda: LabelDistribution(target_id=5, vocab_size=5), ContractError, ""),
+)
+test_tempered_softmax_rejects_bad_temperature = refusals(
+    (lambda: tempered_softmax(np.array([1.0, 2.0]), 0.0), ConfigError, ""),
+)
+test_length_mismatch_rejected = refusals(
+    (lambda: tempered_cross_entropy(np.zeros(5), LabelDistribution(0, 6, 0.0), TemperingConfig()), ContractError, ""),
+)
+test_entropy_rejects_non_distribution = refusals((lambda: shannon_entropy(np.array([0.5, 0.6])), ContractError, ""))

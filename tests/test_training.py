@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -8,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from temperlab.data import PAD_ID, build_vocabulary, encode_pairs, pad_batch
+from temperlab import training
+from temperlab.data import PAD_ID, encode_pairs, pad_batch
 from temperlab.errors import ConfigError, ContractError, NumericError
-from temperlab.model import ModelConfig, init_parameters
 from temperlab.tempering import TemperingConfig, smoothed_label_array, tempered_loss
 from temperlab.tensor import GradientTape, Tensor, backward
 from temperlab.training import (
@@ -19,7 +18,6 @@ from temperlab.training import (
     EvalRecord,
     ExperimentRecord,
     StepRecord,
-    TaskData,
     TrainerConfig,
     average_checkpoints,
     evaluate_checkpoint,
@@ -31,39 +29,11 @@ from temperlab.training import (
     train,
     train_step,
 )
-from tests.conftest import TINY_MODEL, make_task_data
-from temperlab.data import SyntheticTaskSpec
-
-
-def micro_data():
-    spec = SyntheticTaskSpec(
-        kind="copy", alphabet_size=8, length_range=(2, 4), corpus_sizes=(40, 10, 10),
-        noise_rate=0.0, seed=21,
-    )
-    return make_task_data(spec, decode_max_length=8)
-
-
-def micro_model(data, seed=0):
-    cfg = ModelConfig(
-        source_vocab=len(data.src_vocab), target_vocab=len(data.tgt_vocab),
-        num_layers=1, model_dim=16, num_heads=2, ff_dim=24, max_positions=10,
-    )
-    return init_parameters(cfg, seed)
+from tests.conftest import micro_data, micro_model, refusals
 
 
 # ---------------------------------------------------------------------------
 # config and schedule
-
-
-def test_trainer_config_validation():
-    with pytest.raises(ConfigError):
-        TrainerConfig(eval_interval=0)
-    with pytest.raises(ConfigError):
-        TrainerConfig(patience=0)
-    with pytest.raises(ConfigError):
-        TrainerConfig(min_delta=-0.5)
-    with pytest.raises(ConfigError):
-        TrainerConfig(lr_scale=0.0)
 
 
 def test_learning_rate_branches_meet_at_warmup():
@@ -86,28 +56,24 @@ def test_learning_rate_rises_then_decays():
 # stopping rule
 
 
-def test_should_stop_flat_history_fires():
-    assert should_stop([10.0] * 10, patience=10, min_delta=0.1)
+def stopping(history, fires, patience=10, min_delta=0.1):
+    """A test that the stopping rule fires on `history`, or does not. Bound
+    to a `test_` name, it is collected under that name."""
+
+    def test():
+        assert should_stop(history, patience=patience, min_delta=min_delta) == fires
+
+    return test
 
 
-def test_should_stop_within_band_fires():
-    history = [10.0, 10.05, 10.08, 10.02, 10.09, 10.01, 10.1, 10.03, 10.06, 10.0]
-    assert should_stop(history, patience=10, min_delta=0.1)
-
-
-def test_should_stop_band_exceeded_does_not_fire():
-    history = [10.0] * 8 + [10.0, 10.2]
-    assert not should_stop(history, patience=10, min_delta=0.1)
-
-
-def test_should_stop_short_history_never_fires():
-    assert not should_stop([10.0] * 9, patience=10, min_delta=0.1)
-
-
-def test_should_stop_only_window_counts():
-    # early volatility is irrelevant once the last `patience` scores settle
-    history = [1.0, 25.0, 3.0] + [11.0] * 10
-    assert should_stop(history, patience=10, min_delta=0.1)
+test_should_stop_flat_history_fires = stopping([10.0] * 10, True)
+test_should_stop_within_band_fires = stopping([10.0, 10.05, 10.08, 10.02, 10.09, 10.01, 10.1, 10.03, 10.06, 10.0], True)
+test_should_stop_band_exceeded_does_not_fire = stopping([10.0] * 8 + [10.0, 10.2], False)
+test_should_stop_short_history_never_fires = stopping([10.0] * 9, False)
+# early volatility is irrelevant once the last `patience` scores settle
+test_should_stop_only_window_counts = stopping([1.0, 25.0, 3.0] + [11.0] * 10, True)
+# a band exactly min_delta wide is within it (all three are exact binary fractions)
+test_should_stop_band_of_exactly_min_delta_fires = stopping([30.0, 30.5, 30.25], True, patience=3, min_delta=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +126,6 @@ def test_average_streams_the_mean_of_the_stacked_deltas():
     finally:
         tracemalloc.stop()
     assert peak < 3 * cks[0].flat.nbytes, peak
-
-
-def test_average_shape_mismatch_rejected():
-    a = Checkpoint(flat=np.zeros(3), config=None, step=1)
-    b = Checkpoint(flat=np.zeros(4), config=None, step=2)
-    with pytest.raises(ContractError):
-        average_checkpoints([a, b])
-    with pytest.raises(ContractError):
-        average_checkpoints([])
 
 
 # ---------------------------------------------------------------------------
@@ -421,25 +378,23 @@ def test_record_structure_and_monotone_steps():
         assert s.grad_norm >= 0.0
 
 
-def test_early_stopping_halts_within_one_interval(trained_copy):
-    # reuse the overfit fixture task: dev BLEU saturates, so a small patience
-    # window fires as soon as it is full
-    _result, data = trained_copy
-    model_cfg = ModelConfig(
-        source_vocab=len(data.src_vocab), target_vocab=len(data.tgt_vocab), **TINY_MODEL
-    )
-    model = init_parameters(model_cfg, seed=3)
+def test_early_stopping_halts_within_one_interval(monkeypatch):
+    # dev BLEU is scripted, so the evaluation at which the rule (patience 3,
+    # min_delta 0.5) fires is known whatever the trained parameters are; 16
+    # steps at batch 8 span four epochs of micro_data's 40 pairs
+    data = micro_data()
     trainer = TrainerConfig(
-        lr_scale=0.1, warmup_steps=80, batch_size=16, eval_interval=100,
-        patience=3, min_delta=0.5, max_steps=3000, seed=3,
+        lr_scale=0.05, warmup_steps=10, batch_size=8, eval_interval=2, patience=3, min_delta=0.5, max_steps=16, seed=3
     )
-    res = train(model, data, TemperingConfig(1.0, True, 0.0), trainer)
-    history = [e.dev_bleu for e in res.record.evals]
-    fired_at = next(
-        i for i in range(len(history)) if should_stop(history[: i + 1], 3, 0.5)
-    )
-    assert res.record.steps[-1].step == res.record.evals[fired_at].step
-    assert res.record.steps[-1].step < 3000
+    for scores, fired_at in (
+        ([10.0, 20.0, 30.0, 30.5, 30.25, 50.0, 50.0, 50.0], 4),  # the window at eval 4 spans exactly 0.5
+        ([10.0, 20.0] * 4, None),  # never settles, so it runs to max_steps
+    ):
+        monkeypatch.setattr(training, "evaluate_checkpoint", lambda *args, bleus=iter(scores): next(bleus))
+        res = train(micro_model(data), data, TemperingConfig(1.0, True, 0.0), trainer)
+        last = 16 if fired_at is None else 2 * (fired_at + 1)
+        assert [s.step for s in res.record.steps] == list(range(1, last + 1)), scores
+        assert [e.dev_bleu for e in res.record.evals] == scores[: last // 2], scores
 
 
 def test_checkpoint_ring_keeps_last_k(tmp_path):
@@ -453,22 +408,6 @@ def test_checkpoint_ring_keeps_last_k(tmp_path):
     # the directory holds the same window, not every snapshot
     files = sorted(p.name for p in tmp_path.iterdir())
     assert files == ["step000030.npz", "step000035.npz", "step000040.npz"]
-
-
-def test_non_finite_forward_aborts_with_context():
-    data = micro_data()
-    model = micro_model(data)
-    # poison one parameter so the forward pass overflows into non-finite values
-    model.params["src_embed"].array[:] = 1e200
-    batch = pad_batch(encode_pairs(data.train[:2], data.src_vocab, data.tgt_vocab), index=17)
-    trainer = TrainerConfig()
-    with pytest.raises(NumericError) as exc, np.errstate(over="ignore", invalid="ignore"):
-        train_step(
-            model, batch, TemperingConfig(1.0, True, 0.1), trainer,
-            AdamState(model.params), step=9, rng=np.random.default_rng(0),
-        )
-    msg = str(exc.value)
-    assert "step 9" in msg and "batch 17" in msg
 
 
 def test_evaluate_checkpoint_untrained_is_noise():
@@ -511,3 +450,34 @@ def test_record_jsonl_roundtrip(tmp_path):
     rec.save_jsonl(path)
     loaded = ExperimentRecord.load_jsonl(path)
     assert loaded == rec
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+
+def poisoned_step():
+    """A training step whose forward overflows: one parameter is poisoned."""
+    data = micro_data()
+    model = micro_model(data)
+    model.params["src_embed"].array[:] = 1e200
+    batch = pad_batch(encode_pairs(data.train[:2], data.src_vocab, data.tgt_vocab), index=17)
+    with np.errstate(over="ignore", invalid="ignore"):
+        train_step(
+            model, batch, TemperingConfig(1.0, True, 0.1), TrainerConfig(),
+            AdamState(model.params), step=9, rng=np.random.default_rng(0),
+        )
+
+
+test_trainer_config_validation = refusals(
+    (lambda: TrainerConfig(eval_interval=0), ConfigError, ""),
+    (lambda: TrainerConfig(patience=0), ConfigError, ""),
+    (lambda: TrainerConfig(min_delta=-0.5), ConfigError, ""),
+    (lambda: TrainerConfig(lr_scale=0.0), ConfigError, ""),
+)
+test_average_shape_mismatch_rejected = refusals(
+    (lambda: average_checkpoints([Checkpoint(np.zeros(3), None, 1), Checkpoint(np.zeros(4), None, 2)]),
+     ContractError, ""),
+    (lambda: average_checkpoints([]), ContractError, ""),
+)
+test_non_finite_forward_aborts_with_context = refusals((poisoned_step, NumericError, "step 9 batch 17"))
