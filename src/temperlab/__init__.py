@@ -35,10 +35,8 @@ from .data import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, SyntheticTaskSpec, Vocabulary
 from .decoding import BeamConfig, Hypothesis, beam_decode, greedy_decode, length_penalty
 from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError, TemperlabError
 from .metrics import corpus_bleu, output_similarity_bleu, paired_bootstrap
-from .model import (ModelConfig, TransformerModel, init_parameters, load_checkpoint, parameter_count,
-                    save_checkpoint)
-from .tempering import (LabelDistribution, TemperingConfig, analytic_logit_gradient, shannon_entropy,
-                        tempered_cross_entropy, tempered_softmax)
+from .model import ModelConfig, TransformerModel, init_parameters, load_checkpoint, save_checkpoint
+from .tempering import TemperingConfig
 from .tensor import GradientTape, Tensor, backward
 from .training import (TrainerConfig, average_checkpoints, evaluate_checkpoint, global_gradient_norm,
                        should_stop, train)

@@ -67,6 +67,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    out_dir = Path(args.output).parent
+    if not out_dir.is_dir():
+        raise DataError(f"output directory {out_dir} does not exist")
     model, _step = load_checkpoint(args.checkpoint)
     src_vocab = Vocabulary.load(args.src_vocab)
     tgt_vocab = Vocabulary.load(args.tgt_vocab)
@@ -106,19 +109,18 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_report(args) -> int:
     root = Path(args.dir)
+    reported = ("sweep.csv", "curve.csv", "similarity.csv", "timing.csv", "summary.txt")
+    if not root.is_dir():
+        raise DataError(f"report directory {root} does not exist")
+    present = [name for name in reported if (root / name).exists()]
+    if not present:
+        raise DataError(f"{root} holds none of {', '.join(reported)}")
     lines = [f"report for {root}", "=" * (11 + len(str(root)))]
-    for name in ("sweep.csv", "curve.csv", "similarity.csv", "timing.csv"):
-        path = root / name
-        if not path.exists():
-            continue
+    for name in present:
         lines.append("")
-        lines.append(name)
-        lines.append("-" * len(name))
-        lines.extend(path.read_text(encoding="utf-8").rstrip("\n").split("\n"))
-    summary = root / "summary.txt"
-    if summary.exists():
-        lines.append("")
-        lines.extend(summary.read_text(encoding="utf-8").rstrip("\n").split("\n"))
+        if name != "summary.txt":
+            lines.extend([name, "-" * len(name)])
+        lines.extend((root / name).read_text(encoding="utf-8").rstrip("\n").split("\n"))
     text = "\n".join(lines) + "\n"
     print(text, end="")
     (root / "report.txt").write_text(text, encoding="utf-8")

@@ -427,10 +427,6 @@ def init_parameters(config: ModelConfig, seed: int) -> TransformerModel:
     return TransformerModel(config, np.concatenate(parts))
 
 
-def parameter_count(model: TransformerModel) -> int:
-    return model.flat.size
-
-
 def save_checkpoint(path, model: TransformerModel, step: int) -> None:
     """npz container: one float64 array per parameter name, plus the config
     as JSON and the training step. Round-trips bitwise."""

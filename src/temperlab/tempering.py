@@ -6,10 +6,11 @@ softmax, which smooths the distribution; the cross-entropy against the
 magnitudes at the logit level are preserved. Decoding never applies the
 temperature.
 
-`tempered_loss` is the one implementation of the loss: the batched form,
-one `tensor.cross_entropy` node on the tape, that training runs. The scalar
-API (`tempered_cross_entropy`, `analytic_logit_gradient`) is a one-row view
-of it, so checks of the scalar loss and its gradient test the training code.
+`tempered_loss` is the one implementation of the loss, one
+`tensor.cross_entropy` node on the tape, and `entropy_views` the one reading
+of the entropies a training step records; checks of a single row call them
+on a [1, vocab] batch. The tempered prediction, `tensor.softmax(logits / T)`,
+has the argmax of the logits for any T > 0.
 """
 
 from __future__ import annotations
@@ -40,79 +41,6 @@ class TemperingConfig:
             raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
 
 
-@dataclass(frozen=True)
-class LabelDistribution:
-    """Smoothed reference distribution: 1-eps at the target id, eps spread
-    uniformly over the other vocab_size-1 entries."""
-
-    target_id: int
-    vocab_size: int
-    smoothing: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.target_id < self.vocab_size:
-            raise ContractError(
-                f"target id {self.target_id} outside vocabulary of size {self.vocab_size}"
-            )
-        if not 0.0 <= self.smoothing < 1.0:
-            raise ConfigError(f"smoothing must be in [0, 1), got {self.smoothing}")
-        if self.smoothing > 0.0 and self.vocab_size < 2:
-            raise ConfigError("smoothing needs a vocabulary of at least 2 tokens")
-
-    def vector(self) -> Array:
-        # pad id -1 matches no target, so a target id of 0 keeps its label row
-        return smoothed_label_array([self.target_id], self.vocab_size, self.smoothing, pad_id=-1)[0]
-
-
-def tempered_softmax(logits: Array, temperature: float) -> Array:
-    """softmax(logits / T); argmax is identical to argmax(logits) for any T > 0."""
-    if temperature <= 0.0:
-        raise ConfigError(f"temperature must be positive, got {temperature}")
-    return tt.softmax(np.asarray(logits, dtype=np.float64) / temperature)
-
-
-def _row_loss(logits: Array, label: LabelDistribution, cfg: TemperingConfig) -> tuple[tt.Tensor, tt.Tensor]:
-    """`tempered_loss` over a one-row batch: the [1, vocab] logits tensor and the loss."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.shape != (label.vocab_size,):
-        raise ContractError(
-            f"logits shape {logits.shape} does not match vocabulary size {label.vocab_size}"
-        )
-    row = tt.Tensor(logits[None, :], tracked=True)
-    return row, tempered_loss(row, label.vector()[None, :], 1, cfg)
-
-
-def tempered_cross_entropy(logits: Array, label: LabelDistribution, cfg: TemperingConfig) -> float:
-    """Cross-entropy of the temperature-scaled prediction against `label`,
-    multiplied by the temperature when `cfg.rescale_loss` is set."""
-    return _row_loss(logits, label, cfg)[1].item()
-
-
-def analytic_logit_gradient(logits: Array, label: LabelDistribution, cfg: TemperingConfig) -> Array:
-    """Gradient of `tempered_cross_entropy` w.r.t. the logits, from the tape.
-
-    With rescaling on this is p_temp - label: the loss multiplier T cancels
-    the 1/T from the chain rule through the scaled logits. With rescaling
-    off it is (p_temp - label) / T.
-    """
-    with tt.GradientTape() as tape:
-        row, loss = _row_loss(logits, label, cfg)
-    return tt.backward(tape, loss)[row][0]
-
-
-def shannon_entropy(p: Array) -> float:
-    """Entropy in nats, with 0 * log 0 = 0. Input must be a distribution."""
-    p = np.asarray(p, dtype=np.float64)
-    if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
-        raise ContractError("shannon_entropy input is not a probability distribution")
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
-
-
-# ---------------------------------------------------------------------------
-# batched forms used by the training loop
-
-
 def smoothed_label_array(
     target_ids: Array, vocab_size: int, smoothing: float, pad_id: int = PAD_ID
 ) -> Array:
@@ -135,7 +63,9 @@ def tempered_loss(logits: tt.Tensor, labels: Array, token_count: int, cfg: Tempe
 
     `labels` is a dense [..., vocab] array (zero rows at padding) and
     `token_count` the number of non-pad target positions; the labels get no
-    gradient.
+    gradient. At non-pad positions the logits' gradient is
+    (softmax(logits / T) - labels) / token_count, since the loss multiplier
+    T cancels the chain rule's 1/T; without rescaling it is that over T.
     """
     labels = np.asarray(labels, dtype=np.float64)
     if logits.shape != labels.shape:

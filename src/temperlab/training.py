@@ -306,6 +306,9 @@ def train(
     """Run the optimisation loop until max_steps or the dev-BLEU stopping
     rule fires. Deterministic under fixed seeds. With `checkpoint_dir`, the
     retained checkpoints (the last `checkpoint_keep`) are kept there as .npz."""
+    for split in ("train", "dev"):
+        if not getattr(data, split):
+            raise DataError(f"the {split} split is empty")
     encoded = encode_pairs(data.train, data.src_vocab, data.tgt_vocab)
     adam = AdamState(model.params)
     record = ExperimentRecord()

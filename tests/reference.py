@@ -1,9 +1,9 @@
 """The oracles that the tests compare temperlab against, one per concept:
 central differences and the two gradient checkers built on them; the fused
 tape nodes as chains of elementary primitives; the smoothed and tempered
-cross-entropy references; brute-force decoders on Markov tables; and a
-brute-force corpus BLEU. Test modules import them from here, never from
-each other."""
+cross-entropy references and a one-row `tempered_loss` with its gradient;
+an entropy; brute-force decoders on Markov tables; and a brute-force corpus
+BLEU. Test modules import them from here, never from each other."""
 
 import math
 from collections import Counter
@@ -14,6 +14,7 @@ import temperlab.tensor as tt
 from temperlab.data import BOS_ID, EOS_ID
 from temperlab.decoding import Hypothesis, length_penalty
 from temperlab.errors import ContractError
+from temperlab.tempering import smoothed_label_array, tempered_loss
 from temperlab.tensor import GradientTape, Tensor, backward, wrap
 
 # ---------------------------------------------------------------------------
@@ -171,7 +172,7 @@ def residual_chain(x, branch, gain, bias, rate, seed):
 
 
 # ---------------------------------------------------------------------------
-# cross entropy
+# cross entropy and entropy
 
 
 def reference_smoothed_ce(logits, target, eps):
@@ -187,6 +188,33 @@ def reference_smoothed_ce(logits, target, eps):
 def reference_tempered_ce(logits, target, eps, temperature):
     """The oracle above on logits / T, multiplied by T (loss rescaling on)."""
     return temperature * reference_smoothed_ce(np.asarray(logits) / temperature, target, eps)
+
+
+def _one_row(logits, target, cfg):
+    """The tracked [1, V] row of `logits` and its one-token `tempered_loss`
+    against the smoothed label of `target` (pad id -1: id 0 is a token)."""
+    row = Tensor(np.asarray(logits, dtype=np.float64)[None, :], tracked=True)
+    labels = smoothed_label_array([target], row.shape[1], cfg.label_smoothing, pad_id=-1)
+    return row, tempered_loss(row, labels, 1, cfg)
+
+
+def row_loss(logits, target, cfg) -> float:
+    """`tempered_loss` of one row of logits (a [V] array) with target id `target`."""
+    return _one_row(logits, target, cfg)[1].item()
+
+
+def row_gradient(logits, target, cfg):
+    """The tape gradient of `row_loss` with respect to the row, a [V] array."""
+    with GradientTape() as tape:
+        row, loss = _one_row(logits, target, cfg)
+    return backward(tape, loss)[row][0]
+
+
+def shannon_entropy(p) -> float:
+    """Independent oracle: the entropy of a distribution in nats, with 0 * log 0 = 0."""
+    p = np.asarray(p, dtype=np.float64)
+    nz = p[p > 0.0]
+    return float(-(nz * np.log(nz)).sum())
 
 
 # ---------------------------------------------------------------------------

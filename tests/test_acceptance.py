@@ -14,18 +14,9 @@ import pytest
 from temperlab.data import BOS_ID, EOS_ID
 from temperlab.decoding import BeamConfig, beam_decode, greedy_decode
 from temperlab.metrics import corpus_bleu
-from temperlab.model import ModelConfig, init_parameters, parameter_count
-from temperlab.tempering import (
-    LabelDistribution,
-    TemperingConfig,
-    analytic_logit_gradient,
-    shannon_entropy,
-    tempered_cross_entropy,
-    tempered_softmax,
-    smoothed_label_array,
-    tempered_loss,
-)
-from temperlab.tensor import Tensor
+from temperlab.model import ModelConfig, init_parameters
+from temperlab.tempering import TemperingConfig, entropy_views, smoothed_label_array, tempered_loss
+from temperlab.tensor import Tensor, softmax
 from temperlab.training import (
     TrainerConfig,
     average_checkpoints,
@@ -37,16 +28,9 @@ from temperlab.training import (
 
 from tests import campaign
 from tests.conftest import micro_data, micro_model
-from tests.reference import (
-    TableModel,
-    enumerate_best,
-    finite_difference_gradient,
-    oracle_bleu,
-    parameter_gradient_error,
-    random_corpus,
-    random_table,
-    reference_smoothed_ce,
-)
+from tests.reference import (TableModel, enumerate_best, finite_difference_gradient, oracle_bleu,
+                             parameter_gradient_error, random_corpus, random_table, reference_smoothed_ce,
+                             row_gradient, row_loss)
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -77,16 +61,14 @@ def test_criterion_01_gradient_identity():
         eps = 0.0 if case % 4 < 2 else 0.1
         target = int(rng.integers(v))
         cfg = TemperingConfig(temperature=temperature, rescale_loss=True, label_smoothing=eps)
-        label = LabelDistribution(target, v, eps)
+        label = smoothed_label_array([target], v, eps, pad_id=-1)[0]
 
-        # the scalar API is a one-row tempered_loss, so `grad` is the tape's
-        grad = analytic_logit_gradient(logits, label, cfg)
-        identity = tempered_softmax(logits, temperature) - label.vector()
+        # `grad` is the tape's, through the tempered_loss that training runs
+        grad = row_gradient(logits, target, cfg)
+        identity = softmax(logits / temperature) - label
         worst_exact = max(worst_exact, float(np.max(np.abs(grad - identity))))
 
-        fd = finite_difference_gradient(
-            lambda t: tempered_cross_entropy(t.array, label, cfg), Tensor(logits), h=1e-5
-        ).array
+        fd = finite_difference_gradient(lambda t: row_loss(t.array, target, cfg), Tensor(logits), h=1e-5).array
         # gradient-vector relative error: single components cross zero (where
         # p_i equals the smoothing mass), making per-component ratios undefined
         rel = float(np.linalg.norm(grad - fd) / np.linalg.norm(fd))
@@ -109,7 +91,7 @@ def test_criterion_02_t1_reduction():
         eps = float(rng.choice([0.0, 0.1, 0.3]))
         target = int(rng.integers(v))
         cfg = TemperingConfig(temperature=1.0, rescale_loss=True, label_smoothing=eps)
-        ours = tempered_cross_entropy(logits, LabelDistribution(target, v, eps), cfg)
+        ours = row_loss(logits, target, cfg)
         worst = max(worst, abs(ours - reference_smoothed_ce(logits, target, eps)))
     report(2, "T=1 reduces to standard smoothed cross-entropy", worst <= 1e-12, f"max abs err {worst:.2e}")
 
@@ -125,9 +107,9 @@ def test_criterion_03_entropy_monotonicity_and_argmax():
         ents = []
         base_argmax = int(np.argmax(logits))
         for t in grid:
-            p = tempered_softmax(logits, t)
-            ents.append(shannon_entropy(p))
-            argmax_ok &= int(np.argmax(p)) == base_argmax
+            # the tempered view that training records and criterion 6 reads
+            ents.append(entropy_views(logits[None], [True], t)[0])
+            argmax_ok &= int(np.argmax(softmax(logits / t))) == base_argmax
         monotone &= all(b > a for a, b in zip(ents, ents[1:]))
     report(3, "entropy strictly increasing in T, argmax invariant", monotone and argmax_ok)
 
@@ -343,7 +325,7 @@ def test_criterion_13_recurrent_stacking():
     desk = dict(model_dim=64, num_heads=4, ff_dim=128, source_vocab=68, target_vocab=68)
     dense4 = init_parameters(ModelConfig(num_layers=4, **desk), seed=0)
     shared4 = init_parameters(ModelConfig(num_layers=4, recurrent_stacking=True, **desk), seed=0)
-    ratio = parameter_count(shared4) / parameter_count(dense4)
+    ratio = shared4.flat.size / dense4.flat.size
 
     dense1 = init_parameters(ModelConfig(num_layers=1, **desk), seed=4)
     shared1 = init_parameters(ModelConfig(num_layers=1, recurrent_stacking=True, **desk), seed=4)

@@ -586,23 +586,25 @@ def test_cli_sweep_analyze_report_pipeline(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# CLI refusals: exit code, stderr, and nothing created or decoded
+# CLI refusals: exit code, stderr, and nothing printed, created or decoded
 
 
 def cli_errors(*rows):
     """A test that each row's command exits with its code and names its
-    fragment on stderr, creating neither `--out` nor decode's output and
-    decoding nothing. A row is (arguments, from `tmp_path` and
-    `monkeypatch`; exit code; stderr fragment). Bound to a `test_` name in
-    this module, it is collected under that name."""
+    fragment on stderr, printing nothing on stdout, creating none of `--out`,
+    decode's output and `report.txt`, and decoding nothing. A row is
+    (arguments, from `tmp_path` and `monkeypatch`; exit code; stderr
+    fragment). Bound to a `test_` name in this module, it is collected under
+    that name."""
 
     def test(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "decode_corpus", lambda *a, **k: pytest.fail("decoded before checks"))
         for args_of, code, fragment in rows:
             args = args_of(tmp_path, monkeypatch)
             assert main(args) == code, args
-            assert fragment in capsys.readouterr().err, fragment
-            assert not (tmp_path / "out").exists() and not (tmp_path / "hyp.txt").exists(), args
+            out, err = capsys.readouterr()
+            assert fragment in err and out == "", (fragment, out)
+            assert not {"out", "hyp.txt", "report.txt"} & {p.name for p in tmp_path.rglob("*")}, args
 
     return test
 
@@ -667,6 +669,8 @@ test_cli_decode_non_finite_checkpoint_is_data_error = cli_errors(
 )
 test_cli_unreadable_files_exit_codes = cli_errors(
     (missing_file, 3, "missing_vocab.txt"),
+    (lambda tmp, _: decode_args(tmp, "a b\n")[:-1] + [str(tmp / "missing_dir" / "hyp.txt"), "--max-length", "8"], 3,
+     "missing_dir does not exist"),
     (lambda tmp, _: ["train", "--config", str(tmp / "missing.json"), "--out", str(tmp / "out")], 2,
      "cannot read config file"),
 )
@@ -674,4 +678,8 @@ test_cli_decode_checks_lengths_before_decoding = cli_errors(
     (lambda tmp, _: decode_args(tmp, f"a b\n{TOO_LONG}\n") + ["--max-length", "8"], 3, "input line 2 has 11 tokens"),
     (lambda tmp, _: decode_args(tmp, "a b\n\nc\n") + ["--max-length", "8"], 3, "input line 2 has 0 tokens"),
     (lambda tmp, _: decode_args(tmp, "a b\n") + ["--max-length", "10"], 2, "--max-length 10"),
+)
+test_cli_report_needs_a_directory_of_results = cli_errors(
+    (lambda tmp, _: ["report", "--dir", str(tmp / "missing")], 3, "missing does not exist"),
+    (lambda tmp, _: ["report", "--dir", str(tmp)], 3, "holds none of sweep.csv"),
 )

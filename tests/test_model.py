@@ -8,14 +8,7 @@ import temperlab.tensor as tensor_module
 from temperlab.data import EOS_ID, PAD_ID
 from temperlab.decoding import BeamConfig, beam_decode, greedy_decode
 from temperlab.errors import ConfigError, DataError, NumericError
-from temperlab.model import (
-    ModelConfig,
-    TransformerModel,
-    init_parameters,
-    load_checkpoint,
-    parameter_count,
-    save_checkpoint,
-)
+from temperlab.model import ModelConfig, TransformerModel, init_parameters, load_checkpoint, save_checkpoint
 from temperlab.tempering import TemperingConfig, smoothed_label_array, tempered_loss
 from temperlab.tensor import GradientTape, backward
 from tests.conftest import edit_stored_config, refusals, shrink_parameter
@@ -65,11 +58,11 @@ def test_different_seed_changes_parameters():
 def test_recurrent_stacking_has_fewer_parameters():
     dense = small_model(num_layers=4)
     shared = small_model(num_layers=4, recurrent_stacking=True)
-    assert parameter_count(shared) < parameter_count(dense)
+    assert shared.flat.size < dense.flat.size
 
 
 def test_recurrent_stack_size_independent_of_depth():
-    counts = {parameter_count(small_model(num_layers=n, recurrent_stacking=True)) for n in (2, 3, 4)}
+    counts = {small_model(num_layers=n, recurrent_stacking=True).flat.size for n in (2, 3, 4)}
     assert len(counts) == 1
 
 
@@ -89,7 +82,7 @@ def test_parameter_count_arithmetic():
         + d * cfg.target_vocab
         + cfg.target_vocab
     )
-    assert parameter_count(model) == expected
+    assert model.flat.size == expected
 
 
 def test_shared_one_layer_equals_unshared_one_layer(rng):
@@ -323,7 +316,7 @@ def test_checkpoint_rs_mode_roundtrip(tmp_path):
     save_checkpoint(path, model, step=7)
     loaded, _ = load_checkpoint(path)
     assert loaded.config.recurrent_stacking
-    assert parameter_count(loaded) == parameter_count(model)
+    assert loaded.flat.size == model.flat.size
 
 
 @pytest.mark.parametrize("changes", [{"extra": 1}, {"num_heads": 3}, None])

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,9 +10,9 @@ import pytest
 
 from temperlab import training
 from temperlab.data import PAD_ID, encode_pairs, pad_batch
-from temperlab.errors import ConfigError, ContractError, NumericError
+from temperlab.errors import ConfigError, ContractError, DataError, NumericError
 from temperlab.tempering import TemperingConfig, smoothed_label_array, tempered_loss
-from temperlab.tensor import GradientTape, Tensor, backward
+from temperlab.tensor import GradientTape, Tensor, backward, softmax
 from temperlab.training import (
     AdamState,
     Checkpoint,
@@ -289,8 +290,6 @@ def test_batched_loss_equals_sum_of_per_sentence_losses():
 
 
 def test_step_gradient_at_logits_is_ptemp_minus_label():
-    from temperlab.tempering import tempered_softmax
-
     data = micro_data()
     model = micro_model(data)
     tempering = TemperingConfig(temperature=4.0, rescale_loss=True, label_smoothing=0.1)
@@ -302,7 +301,7 @@ def test_step_gradient_at_logits_is_ptemp_minus_label():
         loss = tempered_loss(logits, labels, batch.token_count, tempering)
     g = backward(tape, loss)[logits]
 
-    expected = (tempered_softmax(logits.array, 4.0) - labels) / batch.token_count
+    expected = (softmax(logits.array / 4.0) - labels) / batch.token_count
     expected[batch.target_out == PAD_ID] = 0.0
     assert np.max(np.abs(g - expected)) <= 1e-12
 
@@ -469,6 +468,12 @@ def poisoned_step():
         )
 
 
+def train_without(split):
+    """`train` on `micro_data()` with `split` emptied."""
+    data = dataclasses.replace(micro_data(), **{split: []})
+    return lambda: train(micro_model(data), data, TemperingConfig(), TrainerConfig(max_steps=3, eval_interval=2))
+
+
 test_trainer_config_validation = refusals(
     (lambda: TrainerConfig(eval_interval=0), ConfigError, ""),
     (lambda: TrainerConfig(patience=0), ConfigError, ""),
@@ -481,3 +486,7 @@ test_average_shape_mismatch_rejected = refusals(
     (lambda: average_checkpoints([]), ContractError, ""),
 )
 test_non_finite_forward_aborts_with_context = refusals((poisoned_step, NumericError, "step 9 batch 17"))
+test_train_refuses_an_empty_split = refusals(
+    (train_without("train"), DataError, "the train split is empty"),
+    (train_without("dev"), DataError, "the dev split is empty"),
+)
